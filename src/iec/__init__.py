@@ -10,9 +10,9 @@ combined pipeline), ``metrics`` (confusion-matrix scores) and ``cli``.
 
 from iec.ann import MlpModel, TrainConfig, hidden_neuron_count
 from iec.data import (Dataset, FeatureSpec, ScalingParams, imbalance_cv,
-                      load_csv, min_max_apply, min_max_fit,
+                      load_csv, min_max_apply_matrix, min_max_fit_matrix,
                       repeated_eval_protocol, stratified_split, synth_generate)
-from iec.ensemble import IecModel
+from iec.ensemble import IecModel, run_benchmark
 from iec.hddt import HddtModel, TreeConfig, grow_tree, hellinger_split_score
 from iec.metrics import ConfusionMatrix, MetricsReport, confusion, mean_report, report
 
@@ -34,10 +34,11 @@ __all__ = [
     "imbalance_cv",
     "load_csv",
     "mean_report",
-    "min_max_apply",
-    "min_max_fit",
+    "min_max_apply_matrix",
+    "min_max_fit_matrix",
     "report",
     "repeated_eval_protocol",
+    "run_benchmark",
     "stratified_split",
     "synth_generate",
 ]

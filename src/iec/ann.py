@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec._util import round_half_away
+from iec.data import round_half_away
 
 
 def sigmoid(x):

@@ -15,14 +15,11 @@ import sys
 
 import numpy as np
 
-from iec import ann, ensemble, hddt, metrics
+from iec import ensemble, metrics
 from iec.ann import TrainConfig
-from iec.data import (Dataset, load_csv, min_max_apply_matrix,
-                      min_max_fit_matrix, repeated_eval_protocol,
-                      synth_generate)
+from iec.data import Dataset, load_csv, synth_generate
+from iec.ensemble import run_benchmark
 from iec.hddt import TreeConfig
-
-BENCHMARK_CLASSIFIERS = ("ANN", "HDDT", "IEC")
 
 
 def _load_config(path: str) -> dict:
@@ -132,6 +129,11 @@ def _build_parser():
 
 
 def _validate(args, parser):
+    """Reject bad flags before any file is read (exit 2).
+
+    The tree and training configs are built here, once; their own checks
+    cover the tree and training flags.
+    """
     cmd = args.command
     if cmd == "synth":
         if args.n < 10:
@@ -143,16 +145,12 @@ def _validate(args, parser):
         if args.noise < 0:
             parser.error("--noise must be >= 0")
     if cmd in ("train", "benchmark"):
-        if args.epochs < 1:
-            parser.error("--epochs must be >= 1")
-        if args.learning_rate <= 0:
-            parser.error("--learning-rate must be > 0")
-        if args.init_scale <= 0:
-            parser.error("--init-scale must be > 0")
-        if args.min_leaf < 1:
-            parser.error("--min-leaf must be >= 1")
-        if args.max_depth is not None and args.max_depth < 0:
-            parser.error("--max-depth must be >= 0")
+        try:
+            args.tree_config = TreeConfig(min_leaf=args.min_leaf, max_depth=args.max_depth)
+            args.train_config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
+                                            seed=args.seed, init_scale=args.init_scale)
+        except ValueError as exc:
+            parser.error(str(exc))
     if cmd == "benchmark":
         if args.repetitions < 1:
             parser.error("--repetitions must be >= 1")
@@ -165,15 +163,6 @@ def _validate(args, parser):
 def _load_dataset(args) -> Dataset:
     categorical = tuple(c for c in args.categorical.split(",") if c)
     return load_csv(args.data, args.label_col, args.positive, categorical)
-
-
-def _tree_config(args) -> TreeConfig:
-    return TreeConfig(min_leaf=args.min_leaf, max_depth=args.max_depth)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                       seed=args.seed, init_scale=args.init_scale)
 
 
 def cmd_synth(args) -> int:
@@ -190,7 +179,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    model = ensemble.fit(dataset, _tree_config(args), _train_config(args))
+    model = ensemble.fit(dataset, args.tree_config, args.train_config)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(ensemble.model_to_dict(model), fh, indent=2)
         fh.write("\n")
@@ -245,50 +234,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _fit_ann_only(train: Dataset, config: TrainConfig):
-    """Plain network baseline: every raw feature one-hot expanded and scaled."""
-    all_features = list(range(train.p))
-    matrix = ensemble.expand_features(train.rows, train.specs, all_features)
-    scaling = min_max_fit_matrix(matrix)
-    scaled = min_max_apply_matrix(matrix, scaling)
-    k = ann.hidden_neuron_count(train.n, matrix.shape[1])
-    net = ann.train(scaled, train.labels, k, config)
-    return net, scaling, all_features
-
-
-def _predict_ann_only(net, scaling, features, dataset: Dataset) -> np.ndarray:
-    matrix = ensemble.expand_features(dataset.rows, dataset.specs, features)
-    return ann.classify_batch(net, min_max_apply_matrix(matrix, scaling))
-
-
-def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
-                  seed: int, tree_config: TreeConfig,
-                  train_config: TrainConfig) -> dict:
-    """Per-fold test-set reports for the ANN, HDDT and IEC classifiers."""
-    folds = repeated_eval_protocol(dataset, repetitions, train_fraction, seed)
-    results: dict = {name: [] for name in BENCHMARK_CLASSIFIERS}
-    for fold_index, (train, test) in enumerate(folds):
-        try:
-            net, scaling, feats = _fit_ann_only(train, train_config)
-            ann_preds = _predict_ann_only(net, scaling, feats, test)
-
-            tree = hddt.grow_tree(train, tree_config)
-            tree_preds = hddt.predict(tree, test.rows)
-
-            iec_model = ensemble.fit(train, tree_config, train_config)
-            iec_preds = ensemble.predict(iec_model, test.rows)
-        except Exception as exc:
-            raise RuntimeError(f"benchmark fold {fold_index} failed: {exc}") from exc
-        for name, preds in (("ANN", ann_preds), ("HDDT", tree_preds), ("IEC", iec_preds)):
-            results[name].append(metrics.report(metrics.confusion(preds, test.labels)))
-    return results
-
-
 def cmd_benchmark(args) -> int:
     dataset = _load_dataset(args)
     results = run_benchmark(dataset, args.repetitions, args.train_fraction,
-                            args.seed, _tree_config(args), _train_config(args))
+                            args.seed, args.tree_config, args.train_config)
     means = {name: metrics.mean_report(reports) for name, reports in results.items()}
+    mean_dicts = {name: rep.to_dict() for name, rep in means.items()}
 
     if args.dump_folds:
         with open(args.dump_folds, "w", encoding="utf-8") as fh:
@@ -298,18 +249,17 @@ def cmd_benchmark(args) -> int:
                 "seed": args.seed,
                 "folds": {name: [r.to_dict() for r in reports]
                           for name, reports in results.items()},
-                "means": {name: rep.to_dict() for name, rep in means.items()},
+                "means": mean_dicts,
             }, fh, indent=2)
             fh.write("\n")
 
     if args.format == "json":
         print(json.dumps({
             "repetitions": args.repetitions,
-            "means": {name: means[name].to_dict() for name in BENCHMARK_CLASSIFIERS},
+            "means": mean_dicts,
         }, indent=2))
     else:
-        print(metrics.format_table(
-            [(name, means[name]) for name in BENCHMARK_CLASSIFIERS]))
+        print(metrics.format_table(list(means.items())))
     return 0
 
 

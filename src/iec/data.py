@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec._util import round_half_away
-
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
 
-# Coefficient-of-variation cutoff above which a dataset counts as imbalanced
-# (a 2:1 class ratio sits at 1/3, just over the line).
-IMBALANCE_CV_THRESHOLD = 0.30
+
+def round_half_away(x: float) -> int:
+    """Round to nearest integer, halves away from zero (unlike built-in round)."""
+    if x >= 0:
+        return int(x + 0.5)
+    return -int(-x + 0.5)
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,10 @@ class Dataset:
             raise ValueError("labels must be one per row")
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must contain only 0 and 1")
+        finite = np.isfinite(rows)
+        if not finite.all():
+            r, j = np.argwhere(~finite)[0]
+            raise ValueError(f"non-finite value at row {r}, feature {self.specs[j].name!r}")
         for j, spec in enumerate(self.specs):
             if spec.kind == CATEGORICAL:
                 col = rows[:, j]
@@ -98,30 +103,31 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Fitted per-column min/max, for mapping values into [0, 1]."""
+    """Fitted min/max of every column of a matrix, for mapping values into [0, 1]."""
 
-    columns: tuple[int, ...]
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
 
     def __post_init__(self):
-        if not (len(self.columns) == len(self.mins) == len(self.maxs)):
-            raise ValueError("columns, mins and maxs must be parallel")
+        if len(self.mins) != len(self.maxs):
+            raise ValueError("mins and maxs must be parallel")
         for lo, hi in zip(self.mins, self.maxs):
             if hi < lo:
                 raise ValueError("max must be >= min")
 
     def to_dict(self) -> dict:
+        # "columns" is kept in the model file for format_version 1 readers.
         return {
-            "columns": list(self.columns),
+            "columns": list(range(len(self.mins))),
             "mins": list(self.mins),
             "maxs": list(self.maxs),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingParams":
-        return cls(tuple(d["columns"]), tuple(float(x) for x in d["mins"]),
-                   tuple(float(x) for x in d["maxs"]))
+        if list(d["columns"]) != list(range(len(d["mins"]))):
+            raise ValueError("scaling columns must be 0 .. width-1 in order")
+        return cls(tuple(float(x) for x in d["mins"]), tuple(float(x) for x in d["maxs"]))
 
 
 def specs_to_dicts(specs) -> list[dict]:
@@ -139,7 +145,7 @@ def load_csv(path, label_column: str, positive_label: str,
     Columns named in ``categorical_columns`` are encoded as category indices,
     with categories ordered by first appearance; every other non-label column
     must parse as a float.  Rows whose label equals ``positive_label`` become
-    class 1.  Missing values are rejected, not imputed.
+    class 1.  Missing and non-finite (nan, inf) values are rejected, not imputed.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -194,6 +200,10 @@ def load_csv(path, label_column: str, positive_label: str,
                     ) from None
             c += 1
 
+    finite = np.isfinite(rows)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite value at row {r + 2}, column {feature_names[c]!r}")
     if len(label_values) > 2:
         raise ValueError(
             f"{path}: label column {label_column!r} has {len(label_values)} distinct "
@@ -208,20 +218,10 @@ def load_csv(path, label_column: str, positive_label: str,
     return Dataset(specs, rows, labels)
 
 
-def min_max_fit(d: Dataset) -> ScalingParams:
-    """Record the observed min and max of every continuous feature."""
-    cols = tuple(j for j, s in enumerate(d.specs) if s.kind == CONTINUOUS)
-    mins = tuple(float(d.rows[:, j].min()) for j in cols)
-    maxs = tuple(float(d.rows[:, j].max()) for j in cols)
-    return ScalingParams(cols, mins, maxs)
-
-
 def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:
     """Fit min/max over every column of a plain numeric matrix."""
     x = np.asarray(x, dtype=np.float64)
-    cols = tuple(range(x.shape[1]))
-    return ScalingParams(cols,
-                         tuple(float(v) for v in x.min(axis=0)),
+    return ScalingParams(tuple(float(v) for v in x.min(axis=0)),
                          tuple(float(v) for v in x.max(axis=0)))
 
 
@@ -233,24 +233,13 @@ def _scale_column(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
 
 
-def min_max_apply(d: Dataset, s: ScalingParams) -> Dataset:
-    """Scale the continuous features of ``d`` into [0, 1] using fitted params."""
-    expected = tuple(j for j, sp in enumerate(d.specs) if sp.kind == CONTINUOUS)
-    if s.columns != expected:
-        raise ValueError("scaling params do not match the dataset's continuous columns")
-    rows = d.rows.copy()
-    for j, lo, hi in zip(s.columns, s.mins, s.maxs):
-        rows[:, j] = _scale_column(rows[:, j], lo, hi)
-    return Dataset(d.specs, rows, d.labels)
-
-
 def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
     """Scale every column of a plain matrix using fitted params."""
     x = np.asarray(x, dtype=np.float64)
-    if s.columns != tuple(range(x.shape[1])):
-        raise ValueError(f"scaling params cover columns {s.columns}, matrix has {x.shape[1]}")
+    if len(s.mins) != x.shape[1]:
+        raise ValueError(f"scaling params cover {len(s.mins)} columns, matrix has {x.shape[1]}")
     out = np.empty_like(x)
-    for j, lo, hi in zip(s.columns, s.mins, s.maxs):
+    for j, (lo, hi) in enumerate(zip(s.mins, s.maxs)):
         out[:, j] = _scale_column(x[:, j], lo, hi)
     return out
 
@@ -266,10 +255,6 @@ def imbalance_cv(d: Dataset) -> float:
         raise ValueError("imbalance_cv requires both classes to be present")
     counts = np.array([neg, pos], dtype=np.float64)
     return float(counts.std() / counts.mean())
-
-
-def is_imbalanced(d: Dataset) -> bool:
-    return imbalance_cv(d) >= IMBALANCE_CV_THRESHOLD
 
 
 def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -6,6 +6,9 @@ tree's own prediction as one extra 0/1 column, min-max scale, size the hidden
 layer from the training count, and train the one-hidden-layer network.  At
 prediction time the same augmentation and fitted scaling are replayed before
 thresholding the network output.
+
+``run_benchmark`` compares the pipeline with its two halves alone: the
+network on every raw feature (ANN) and the tree (HDDT).
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec import ann, hddt
+from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
-from iec.data import (CATEGORICAL, Dataset, ScalingParams,
-                      min_max_apply_matrix, min_max_fit_matrix)
+from iec.data import (CATEGORICAL, Dataset, ScalingParams, min_max_apply_matrix,
+                      min_max_fit_matrix, repeated_eval_protocol)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -38,14 +41,6 @@ class IecModel:
             raise ValueError(
                 f"network expects {self.net.input_dim} inputs but d_m is {self.d_m}"
             )
-
-
-def expanded_width(specs, selected) -> int:
-    """Network input columns contributed by the selected features (no OP)."""
-    return sum(
-        len(specs[j].categories) if specs[j].kind == CATEGORICAL else 1
-        for j in selected
-    )
 
 
 def expand_features(rows: np.ndarray, specs, selected) -> np.ndarray:
@@ -99,12 +94,18 @@ def fit(train: Dataset, tree_config: TreeConfig | None = None,
         selected = list(range(train.p))
 
     matrix = augment(train.rows, tree, selected)
-    scaling = min_max_fit_matrix(matrix)
-    scaled = min_max_apply_matrix(matrix, scaling)
-    d_m = matrix.shape[1]
-    k = ann.hidden_neuron_count(train.n, d_m)
-    net = ann.train(scaled, train.labels, k, train_config or TrainConfig())
-    return IecModel(tree, tuple(selected), scaling, net, d_m)
+    scaling, net = _train_network(matrix, train.labels, train_config or TrainConfig())
+    return IecModel(tree, tuple(selected), scaling, net, matrix.shape[1])
+
+
+def _train_network(x: np.ndarray, labels: np.ndarray,
+                   config: TrainConfig) -> tuple[ScalingParams, MlpModel]:
+    """Min-max scale a network input matrix, size the hidden layer from its
+    shape and train the network on it."""
+    scaling = min_max_fit_matrix(x)
+    scaled = min_max_apply_matrix(x, scaling)
+    k = ann.hidden_neuron_count(x.shape[0], x.shape[1])
+    return scaling, ann.train(scaled, labels, k, config)
 
 
 def predict(model: IecModel, rows: np.ndarray) -> np.ndarray:
@@ -112,6 +113,35 @@ def predict(model: IecModel, rows: np.ndarray) -> np.ndarray:
     matrix = augment(rows, model.tree, model.selected_features)
     scaled = min_max_apply_matrix(matrix, model.scaling)
     return ann.classify_batch(model.net, scaled)
+
+
+def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
+                  seed: int, tree_config: TreeConfig,
+                  train_config: TrainConfig) -> dict:
+    """Per-fold test-set reports for the ANN, HDDT and IEC classifiers.
+
+    The HDDT baseline is the tree inside each fold's IEC model: growth is a
+    pure function of the training rows and the tree config, so a second tree
+    grown for the baseline would be the same tree.
+    """
+    folds = repeated_eval_protocol(dataset, repetitions, train_fraction, seed)
+    results: dict = {"ANN": [], "HDDT": [], "IEC": []}
+    for fold_index, (train, test) in enumerate(folds):
+        try:
+            all_features = range(train.p)
+            train_matrix = expand_features(train.rows, train.specs, all_features)
+            scaling, net = _train_network(train_matrix, train.labels, train_config)
+            test_matrix = expand_features(test.rows, test.specs, all_features)
+            ann_preds = ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling))
+
+            iec_model = fit(train, tree_config, train_config)
+            tree_preds = hddt.predict(iec_model.tree, test.rows)
+            iec_preds = predict(iec_model, test.rows)
+        except Exception as exc:
+            raise RuntimeError(f"benchmark fold {fold_index} failed: {exc}") from exc
+        for reports, preds in zip(results.values(), (ann_preds, tree_preds, iec_preds)):
+            reports.append(metrics.report(metrics.confusion(preds, test.labels)))
+    return results
 
 
 def model_to_dict(model: IecModel) -> dict:

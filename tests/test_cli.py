@@ -70,6 +70,20 @@ class TestSynth:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("flags", [
+        ["--learning-rate", "nan"], ["--learning-rate", "inf"], ["--learning-rate", "0"],
+        ["--init-scale", "inf"], ["--init-scale", "-1"], ["--epochs", "0"],
+        ["--min-leaf", "0"], ["--max-depth", "-1"],
+    ])
+    def test_bad_config_flag_is_usage_error(self, tmp_path, capsys, command, flags):
+        # The data file does not exist: the flags must be rejected before it is read.
+        out = ["--out", str(tmp_path / "m.json")] if command == "train" else []
+        code, _, err = run(capsys, [command, "--data", str(tmp_path / "absent.csv"),
+                                    *out, *flags])
+        assert code == 2
+        assert flags[0][2:].replace("-", "_") in err
+
     def test_summary_is_consistent(self, tmp_path, capsys):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"

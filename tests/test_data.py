@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
-                      ScalingParams, imbalance_cv, is_imbalanced, load_csv,
-                      min_max_apply, min_max_apply_matrix, min_max_fit,
-                      min_max_fit_matrix, repeated_eval_protocol,
+                      ScalingParams, imbalance_cv, load_csv,
+                      min_max_apply_matrix, min_max_fit_matrix,
+                      repeated_eval_protocol,
                       specs_from_dicts, specs_to_dicts, stratified_split,
                       synth_generate)
 
@@ -80,6 +80,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing value"):
             load_csv(path, "lab", "Y")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_rejected(self, tmp_path, cell):
+        path = write_csv(tmp_path / "d.csv", f"a,lab,b\n1,Y,2\n3,N,{cell}\n")
+        with pytest.raises(ValueError, match="non-finite value at row 3, column 'b'"):
+            load_csv(path, "lab", "Y")
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,b,lab\n1,2,Y\n3,N\n")
         with pytest.raises(ValueError, match="fields"):
@@ -97,20 +103,17 @@ class TestLoadCsv:
 
 class TestMinMax:
     def test_fit_records_extrema(self):
-        d = continuous_dataset([[2.0], [4.0], [10.0]], [0, 1, 0])
-        s = min_max_fit(d)
+        s = min_max_fit_matrix([[2.0], [4.0], [10.0]])
         assert s.mins == (2.0,) and s.maxs == (10.0,)
 
     def test_fit_constant_column(self):
-        d = continuous_dataset([[5.0], [5.0]], [0, 1])
-        s = min_max_fit(d)
+        s = min_max_fit_matrix([[5.0], [5.0]])
         assert s.mins == (5.0,) and s.maxs == (5.0,)
 
     def test_fit_columns_independent(self):
         rng = np.random.default_rng(11)
         rows = rng.normal(size=(20, 2)) * [3.0, 50.0]
-        d = continuous_dataset(rows, rng.integers(0, 2, 20))
-        s = min_max_fit(d)
+        s = min_max_fit_matrix(rows)
         # Oracle: plain per-column scan.
         for j in range(2):
             lo, hi = rows[0, j], rows[0, j]
@@ -119,28 +122,24 @@ class TestMinMax:
             assert s.mins[j] == lo and s.maxs[j] == hi
 
     def test_apply_affine(self):
-        d = continuous_dataset([[2.0], [4.0], [10.0]], [0, 1, 0])
-        s = min_max_fit(d)
-        out = min_max_apply(d, s)
-        np.testing.assert_allclose(out.rows[:, 0], [0.0, 0.25, 1.0])
+        x = np.array([[2.0], [4.0], [10.0]])
+        out = min_max_apply_matrix(x, min_max_fit_matrix(x))
+        np.testing.assert_allclose(out[:, 0], [0.0, 0.25, 1.0])
 
     def test_apply_constant_gives_half(self):
-        d = continuous_dataset([[5.0], [5.0]], [0, 1])
-        out = min_max_apply(d, min_max_fit(d))
-        np.testing.assert_array_equal(out.rows[:, 0], [0.5, 0.5])
+        x = np.array([[5.0], [5.0]])
+        out = min_max_apply_matrix(x, min_max_fit_matrix(x))
+        np.testing.assert_array_equal(out[:, 0], [0.5, 0.5])
 
     def test_apply_clamps_unseen(self):
-        train = continuous_dataset([[2.0], [10.0]], [0, 1])
-        s = min_max_fit(train)
-        fresh = continuous_dataset([[-4.0], [25.0]], [0, 1])
-        out = min_max_apply(fresh, s)
-        np.testing.assert_array_equal(out.rows[:, 0], [0.0, 1.0])
+        s = min_max_fit_matrix([[2.0], [10.0]])
+        out = min_max_apply_matrix(np.array([[-4.0], [25.0]]), s)
+        np.testing.assert_array_equal(out[:, 0], [0.0, 1.0])
 
     def test_apply_spec_mismatch(self):
-        d = continuous_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
-        s = ScalingParams((0,), (1.0,), (3.0,))
-        with pytest.raises(ValueError, match="continuous columns"):
-            min_max_apply(d, s)
+        s = ScalingParams((1.0,), (3.0,))
+        with pytest.raises(ValueError, match="columns"):
+            min_max_apply_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), s)
 
     def test_matrix_helpers(self):
         x = np.array([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
@@ -158,17 +157,23 @@ class TestMinMax:
                               size=(rng.integers(2, 30), 1))
             if rows.max() == rows.min():
                 continue
-            d = continuous_dataset(rows, rng.integers(0, 2, rows.shape[0]))
-            s = min_max_fit(d)
-            scaled = min_max_apply(d, s)
-            recovered = scaled.rows[:, 0] * (s.maxs[0] - s.mins[0]) + s.mins[0]
+            s = min_max_fit_matrix(rows)
+            scaled = min_max_apply_matrix(rows, s)
+            recovered = scaled[:, 0] * (s.maxs[0] - s.mins[0]) + s.mins[0]
             np.testing.assert_allclose(recovered, rows[:, 0], rtol=1e-9)
 
     def test_scaling_params_json(self):
-        s = ScalingParams((0, 2), (1.0, -3.0), (2.0, 5.5))
+        s = ScalingParams((1.0, -3.0), (2.0, 5.5))
+        assert s.to_dict()["columns"] == [0, 1]
         assert ScalingParams.from_dict(s.to_dict()) == s
         with pytest.raises(ValueError, match="max"):
-            ScalingParams((0,), (2.0,), (1.0,))
+            ScalingParams((2.0,), (1.0,))
+
+    @pytest.mark.parametrize("columns", [[0], [1, 0], [0, 2], [1, 2], [0, 1, 2]])
+    def test_from_dict_rejects_other_columns(self, columns):
+        doc = {"columns": columns, "mins": [1.0, -3.0], "maxs": [2.0, 5.5]}
+        with pytest.raises(ValueError, match="columns"):
+            ScalingParams.from_dict(doc)
 
 
 class TestImbalanceCv:
@@ -179,7 +184,6 @@ class TestImbalanceCv:
         # std of (100, 50) is 25, mean 75: just over the 0.30 imbalance line.
         d = labelled_dataset(100, 50)
         assert imbalance_cv(d) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert is_imbalanced(d)
 
     def test_eighty_twenty(self):
         assert imbalance_cv(labelled_dataset(80, 20)) == pytest.approx(0.6, abs=1e-12)
@@ -334,6 +338,11 @@ class TestDatasetInvariants:
         specs = (FeatureSpec("c", CATEGORICAL, ("a", "b")),)
         with pytest.raises(ValueError, match="category index"):
             Dataset(specs, np.array([[2.0]]), np.array([0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite value at row 1, feature 'f1'"):
+            continuous_dataset([[1.0, 2.0], [3.0, value]], [0, 1])
 
     def test_duplicate_names_rejected(self):
         specs = (FeatureSpec("x", CONTINUOUS), FeatureSpec("x", CONTINUOUS))

@@ -6,8 +6,8 @@ import pytest
 from iec import ann, hddt
 from iec.ann import TrainConfig
 from iec.data import CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, synth_generate
-from iec.ensemble import (IecModel, augment, expand_features, expanded_width,
-                          fit, model_from_dict, model_to_dict, predict)
+from iec.ensemble import (IecModel, augment, expand_features, fit, model_from_dict,
+                          model_to_dict, predict, run_benchmark)
 from iec.hddt import Leaf
 
 
@@ -78,7 +78,7 @@ class TestFit:
         assert model.d_m == len(model.selected_features) + 1  # all continuous
         assert model.net.hidden_count == ann.hidden_neuron_count(1000, model.d_m)
         assert model.net.input_dim == model.d_m
-        assert model.scaling.columns == tuple(range(model.d_m))
+        assert len(model.scaling.mins) == model.d_m
 
     def test_width_invariant_with_categoricals(self):
         rng = np.random.default_rng(31)
@@ -92,7 +92,8 @@ class TestFit:
                  FeatureSpec("c", CATEGORICAL, ("a", "b", "z")))
         d = Dataset(specs, rows, labels)
         model = fit(d, train_config=TrainConfig(epochs=20))
-        assert model.d_m == expanded_width(d.specs, model.selected_features) + 1
+        widths = {0: 1, 1: 3}  # x is continuous, c has three categories
+        assert model.d_m == sum(widths[j] for j in model.selected_features) + 1
 
     def test_separable_case(self):
         d = separable_dataset()
@@ -145,6 +146,24 @@ class TestPredict:
         batch = predict(model, d.rows)
         singles = np.array([predict(model, d.rows[i:i + 1])[0] for i in range(d.n)])
         np.testing.assert_array_equal(batch, singles)
+
+
+class TestRunBenchmark:
+    def test_one_tree_per_fold(self, monkeypatch):
+        calls = []
+        grow_tree = hddt.grow_tree
+
+        def counting_grow_tree(*args, **kwargs):
+            calls.append(1)
+            return grow_tree(*args, **kwargs)
+
+        monkeypatch.setattr(hddt, "grow_tree", counting_grow_tree)
+        d = synth_generate(200, 3, 2, 0.25, seed=3)
+        results = run_benchmark(d, repetitions=3, train_fraction=0.7, seed=0,
+                                tree_config=hddt.TreeConfig(),
+                                train_config=TrainConfig(epochs=10))
+        assert [len(reports) for reports in results.values()] == [3, 3, 3]
+        assert len(calls) == 3
 
 
 class TestSkewInsensitivity:
