@@ -44,15 +44,6 @@ def _load_config(path: str) -> dict:
     return {str(k).replace("-", "_"): v for k, v in cfg.items()}
 
 
-def _coerce(value, template):
-    """Convert a config string to the type of the flag's built-in default."""
-    if not isinstance(value, str) or template is None:
-        return value
-    if isinstance(template, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    return type(template)(value)
-
-
 def _add_data_flags(sub):
     sub.add_argument("--data", required=True, help="input CSV file")
     sub.add_argument("--label-col", default="class", help="label column name")
@@ -160,9 +151,9 @@ def _validate(args, parser):
         parser.error("either --model or --baseline is required")
 
 
-def _load_dataset(args) -> Dataset:
+def _load_dataset(args, specs=None) -> Dataset:
     categorical = tuple(c for c in args.categorical.split(",") if c)
-    return load_csv(args.data, args.label_col, args.positive, categorical)
+    return load_csv(args.data, args.label_col, args.positive, categorical, specs)
 
 
 def cmd_synth(args) -> int:
@@ -207,14 +198,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load_dataset(args)
     if args.baseline == "constant0":
         name = "constant0"
+        dataset = _load_dataset(args)
         preds = np.zeros(dataset.n, dtype=np.int64)
     else:
         with open(args.model, encoding="utf-8") as fh:
             model = ensemble.model_from_dict(json.load(fh))
         name = "IEC"
+        # Columns are matched by name and encoded with the model's categories.
+        dataset = _load_dataset(args, model.tree.specs)
         preds = ensemble.predict(model, dataset.rows)
 
     cm = metrics.confusion(preds, dataset.labels)
@@ -275,12 +268,11 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        # argparse applies each flag's type to a string default it falls back on.
         for sub in subs.values():
             known_dests = {a.dest for a in sub._actions}
-            sub.set_defaults(**{
-                key: _coerce(value, sub.get_default(key))
-                for key, value in overrides.items() if key in known_dests
-            })
+            sub.set_defaults(**{key: value for key, value in overrides.items()
+                                if key in known_dests})
 
     try:
         args = parser.parse_args(argv)
@@ -288,9 +280,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -139,13 +139,17 @@ def specs_from_dicts(items) -> tuple[FeatureSpec, ...]:
 
 
 def load_csv(path, label_column: str, positive_label: str,
-             categorical_columns=()) -> Dataset:
+             categorical_columns=(), specs=None) -> Dataset:
     """Read an RFC-4180-style CSV (header row, UTF-8, '.' decimals) into a Dataset.
 
-    Columns named in ``categorical_columns`` are encoded as category indices,
-    with categories ordered by first appearance; every other non-label column
-    must parse as a float.  Rows whose label equals ``positive_label`` become
-    class 1.  Missing and non-finite (nan, inf) values are rejected, not imputed.
+    Without ``specs`` the schema comes from the file: columns named in
+    ``categorical_columns`` are categorical, with categories ordered by first
+    appearance, and every other non-label column is continuous.  With
+    ``specs`` (a fitted model's schema) the features are those specs, each
+    column found by header name wherever it stands, and categories get the
+    specs' codes.  Rows whose label equals ``positive_label`` become class 1.
+    Missing and non-finite (nan, inf) values, unparseable numbers, unseen
+    categories and absent columns are rejected, naming the row and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -157,65 +161,64 @@ def load_csv(path, label_column: str, positive_label: str,
 
     if not data_rows:
         raise ValueError(f"{path}: no data rows")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: row 1 (header) repeats a column name")
     if label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not in header")
     missing = [c for c in categorical_columns if c not in header]
     if missing:
         raise ValueError(f"{path}: categorical columns {missing} not in header")
-
-    label_idx = header.index(label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
-    categorical = set(categorical_columns) - {label_column}
-
-    label_values: list[str] = []
-    categories: dict[str, list[str]] = {name: [] for name in categorical}
-    rows = np.empty((len(data_rows), len(feature_names)), dtype=np.float64)
-    labels = np.empty(len(data_rows), dtype=np.int64)
-
-    for r, raw in enumerate(data_rows):
+    for r, raw in enumerate(data_rows, start=2):
         if len(raw) != len(header):
-            raise ValueError(f"{path}: row {r + 2} has {len(raw)} fields, expected {len(header)}")
-        c = 0
-        for i, cell in enumerate(raw):
-            name = header[i]
-            if cell == "":
-                raise ValueError(f"{path}: missing value at row {r + 2}, column {name!r}")
-            if i == label_idx:
-                if cell not in label_values:
-                    label_values.append(cell)
-                labels[r] = 1 if cell == positive_label else 0
-                continue
-            if name in categorical:
-                cats = categories[name]
-                if cell not in cats:
-                    cats.append(cell)
-                rows[r, c] = cats.index(cell)
-            else:
-                try:
-                    rows[r, c] = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value {cell!r} at row {r + 2}, "
-                        f"column {name!r} (declare it categorical?)"
-                    ) from None
-            c += 1
+            raise ValueError(f"{path}: row {r} has {len(raw)} fields, expected {len(header)}")
+        if "" in raw:
+            raise ValueError(
+                f"{path}: missing value at row {r}, column {header[raw.index('')]!r}")
 
-    finite = np.isfinite(rows)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise ValueError(f"{path}: non-finite value at row {r + 2}, column {feature_names[c]!r}")
+    columns = dict(zip(header, zip(*data_rows)))
+    label_values = list(dict.fromkeys(columns[label_column]))
     if len(label_values) > 2:
         raise ValueError(
             f"{path}: label column {label_column!r} has {len(label_values)} distinct "
             f"values {label_values}, expected two"
         )
+    if specs is None:
+        categorical = set(categorical_columns)
+        specs = tuple(
+            FeatureSpec(name, CATEGORICAL, tuple(dict.fromkeys(cells)))
+            if name in categorical else FeatureSpec(name, CONTINUOUS)
+            for name, cells in columns.items() if name != label_column
+        )
+    rows = np.empty((len(data_rows), len(specs)), dtype=np.float64)
+    for j, spec in enumerate(specs):
+        if spec.name not in columns:
+            raise ValueError(f"{path}: row 1 (header) has no column {spec.name!r}")
+        rows[:, j] = _encode_column(path, spec, columns[spec.name])
 
-    specs = tuple(
-        FeatureSpec(name, CATEGORICAL, tuple(categories[name]))
-        if name in categorical else FeatureSpec(name, CONTINUOUS)
-        for name in feature_names
-    )
-    return Dataset(specs, rows, labels)
+    finite = np.isfinite(rows)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite value at row {r + 2}, column {specs[j].name!r}")
+    labels = [1 if cell == positive_label else 0 for cell in columns[label_column]]
+    return Dataset(specs, rows, np.array(labels, dtype=np.int64))
+
+
+def _encode_column(path, spec: FeatureSpec, cells) -> list[float]:
+    """One CSV column as floats: parsed numbers, or indices into the categories."""
+    if spec.kind == CATEGORICAL:
+        convert = {c: float(i) for i, c in enumerate(spec.categories)}.__getitem__
+    else:
+        convert = float
+    values: list[float] = []
+    for r, cell in enumerate(cells, start=2):
+        try:
+            values.append(convert(cell))
+        except (KeyError, ValueError):
+            what, hint = (("unseen category", "") if spec.kind == CATEGORICAL
+                          else ("non-numeric value", " (declare it categorical?)"))
+            raise ValueError(f"{path}: {what} {cell!r} at row {r}, "
+                             f"column {spec.name!r}{hint}") from None
+    return values
 
 
 def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:
@@ -225,23 +228,19 @@ def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:
                          tuple(float(v) for v in x.max(axis=0)))
 
 
-def _scale_column(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # Degenerate range maps to the class-neutral midpoint; everything else is
-    # the affine map, clamped so unseen out-of-range values stay in [0, 1].
-    if hi == lo:
-        return np.full_like(values, 0.5)
-    return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-
-
 def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
-    """Scale every column of a plain matrix using fitted params."""
+    """Scale every column of a plain matrix using fitted params.
+
+    A constant column maps to the class-neutral midpoint 0.5; every other
+    column takes the affine map, clamped so unseen out-of-range values stay
+    in [0, 1].
+    """
     x = np.asarray(x, dtype=np.float64)
     if len(s.mins) != x.shape[1]:
         raise ValueError(f"scaling params cover {len(s.mins)} columns, matrix has {x.shape[1]}")
-    out = np.empty_like(x)
-    for j, (lo, hi) in enumerate(zip(s.mins, s.maxs)):
-        out[:, j] = _scale_column(x[:, j], lo, hi)
-    return out
+    lo, span = np.array(s.mins), np.array(s.maxs) - np.array(s.mins)
+    constant = span == 0.0
+    return np.where(constant, 0.5, np.clip((x - lo) / np.where(constant, 1.0, span), 0.0, 1.0))
 
 
 def imbalance_cv(d: Dataset) -> float:

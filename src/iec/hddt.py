@@ -198,70 +198,73 @@ def grow_tree(train: Dataset, config: TreeConfig | None = None) -> HddtModel:
     class.  Feature importance accumulates (rows_at_node / n) * hd_score over
     the internal nodes that split on the feature.
     """
-    if config is None:
-        config = TreeConfig()
-    n_total = train.n
+    config = config or TreeConfig()
     importances = np.zeros(train.p, dtype=np.float64)
 
-    def build(row_idx: np.ndarray, depth: int) -> TreeNode:
+    # Explicit-stack pre-order, the visiting order of a recursive build, so
+    # importances sum in the same order: a split's row groups go on the stack
+    # reversed, above a placeholder assembled once its children are built.
+    built: list[TreeNode] = []
+    stack: list = [(np.arange(train.n), 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Internal):
+            first = len(built) - len(item.children)
+            built[first:] = [Internal(item.split, tuple(built[first:]), item.n_pos, item.n_neg)]
+            continue
+        row_idx, depth = item
         labels = train.labels[row_idx]
         n_pos = int(labels.sum())
         n_neg = int(labels.size - n_pos)
-        leaf_label = 1 if n_pos >= n_neg else 0
-
-        splittable = (
-            n_pos > 0 and n_neg > 0
-            and (config.max_depth is None or depth < config.max_depth)
-            and labels.size >= 2 * config.min_leaf
-        )
-        if splittable:
+        cand = None
+        if (n_pos > 0 and n_neg > 0 and labels.size >= 2 * config.min_leaf
+                and (config.max_depth is None or depth < config.max_depth)):
             cand = _best_candidate(train.rows[row_idx], labels, train.specs)
-        else:
-            cand = None
         if cand is None or cand.hd_score <= 0.0:
-            return Leaf(leaf_label, n_pos, n_neg)
+            built.append(Leaf(1 if n_pos >= n_neg else 0, n_pos, n_neg))
+            continue
+        importances[cand.feature_index] += (labels.size / train.n) * cand.hd_score
+        branch = _branch(cand, train.rows[row_idx, cand.feature_index], unlisted=-1)
+        groups = range(2 if cand.kind == NUMERIC else len(cand.categories))
+        stack.append(Internal(cand, groups, n_pos, n_neg))
+        stack.extend((row_idx[branch == i], depth + 1) for i in reversed(groups))
 
-        importances[cand.feature_index] += (labels.size / n_total) * cand.hd_score
-        col = train.rows[row_idx, cand.feature_index]
-        if cand.kind == NUMERIC:
-            mask = col <= cand.threshold
-            groups = [row_idx[mask], row_idx[~mask]]
-        else:
-            groups = [row_idx[col == c] for c in cand.categories]
-        children = tuple(build(g, depth + 1) for g in groups)
-        return Internal(cand, children, n_pos, n_neg)
-
-    root = build(np.arange(n_total), 0)
-    return HddtModel(root, importances, train.specs)
+    return HddtModel(built[0], importances, train.specs)
 
 
-def _route(node: Internal, x: np.ndarray) -> TreeNode:
-    split = node.split
+def _branch(split: SplitCandidate, values: np.ndarray, unlisted: int) -> np.ndarray:
+    """Child index of each value under ``split``, for growth and prediction alike.
+
+    Numeric: child 0 exactly where ``value <= threshold``, so NaN goes right.
+    Categorical: the position of ``int(value)`` in ``split.categories``, or
+    ``unlisted`` where it is not listed.
+    """
     if split.kind == NUMERIC:
-        return node.children[0] if x[split.feature_index] <= split.threshold else node.children[1]
-    value = int(x[split.feature_index])
-    for i, c in enumerate(split.categories):
-        if c == value:
-            return node.children[i]
-    # Unseen category: fall back to the child that saw the most training rows.
-    sizes = [child.n_pos + child.n_neg for child in node.children]
-    return node.children[int(np.argmax(sizes))]
+        return (~(values <= split.threshold)).astype(np.intp)
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite value in categorical feature {split.feature_index}")
+    child = {c: i for i, c in enumerate(split.categories)}
+    return np.array([child.get(int(v), unlisted) for v in values.tolist()], dtype=np.intp)
 
 
 def predict(model: HddtModel, rows: np.ndarray) -> np.ndarray:
     """Route each row to a leaf and return the leaf labels."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != len(model.specs):
-        raise ValueError(
-            f"rows have width {rows.shape[-1] if rows.ndim == 2 else '?'}, "
-            f"model expects {len(model.specs)}"
-        )
+        raise ValueError(f"rows have width {rows.shape[-1] if rows.ndim == 2 else '?'}, "
+                         f"model expects {len(model.specs)}")
     out = np.empty(rows.shape[0], dtype=np.int64)
-    for i, x in enumerate(rows):
-        node = model.root
-        while isinstance(node, Internal):
-            node = _route(node, x)
-        out[i] = node.label
+    stack = [(model.root, np.arange(rows.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if isinstance(node, Leaf):
+            out[idx] = node.label
+        elif idx.size:
+            # An unseen category follows the child that saw the most training rows.
+            sizes = [child.n_pos + child.n_neg for child in node.children]
+            largest = sizes.index(max(sizes))
+            branch = _branch(node.split, rows[idx, node.split.feature_index], largest)
+            stack.extend((child, idx[branch == i]) for i, child in enumerate(node.children))
     return out
 
 
@@ -277,14 +280,8 @@ def _node_to_dict(node: TreeNode) -> dict:
         return {"kind": "leaf", "label": node.label,
                 "n_pos": node.n_pos, "n_neg": node.n_neg}
     split = node.split
-    d = {
-        "kind": "split",
-        "feature_index": split.feature_index,
-        "split_kind": split.kind,
-        "hd_score": split.hd_score,
-        "n_pos": node.n_pos,
-        "n_neg": node.n_neg,
-    }
+    d = {"kind": "split", "feature_index": split.feature_index, "split_kind": split.kind,
+         "hd_score": split.hd_score, "n_pos": node.n_pos, "n_neg": node.n_neg}
     if split.kind == NUMERIC:
         d["threshold"] = split.threshold
     else:

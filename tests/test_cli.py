@@ -28,6 +28,14 @@ def write_separable_csv(path, n=30, seed=0):
     return str(path)
 
 
+def write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
 def write_eighty_twenty_csv(path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -179,6 +187,65 @@ class TestEvaluate:
         assert result["metrics"]["g_mean"] == 0.0
         assert "precision" in result["zero_denominator"]
 
+    def color_rows(self):
+        """``color`` decides the class; red comes first."""
+        rng = np.random.default_rng(5)
+        labels = [0] + [int(v) for v in rng.uniform(size=29) < 0.3]
+        return [[("red", "blue")[lab], repr(float(rng.uniform())), str(lab)]
+                for lab in labels]
+
+    def test_category_order_does_not_matter(self, tmp_path, capsys):
+        rows = self.color_rows()
+        train = write_rows(tmp_path / "train.csv", ["color", "x", "class"], rows)
+        blue_first = write_rows(tmp_path / "blue.csv", ["color", "x", "class"],
+                                sorted(rows, key=lambda r: r[0]))
+        model_path = str(tmp_path / "model.json")
+        code, _, _ = run(capsys, ["train", "--data", train, "--categorical", "color",
+                                  "--out", model_path, "--epochs", "2000",
+                                  "--learning-rate", "0.5"])
+        assert code == 0
+        for data in (train, blue_first):
+            code, out, _ = run(capsys, ["evaluate", "--model", model_path, "--data", data,
+                                        "--categorical", "color", "--format", "json"])
+            assert code == 0
+            assert json.loads(out)["metrics"]["accuracy"] == 1.0
+
+    def test_columns_matched_by_name(self, tmp_path, capsys):
+        data, model_path = self.fit_model(tmp_path, capsys)
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        swapped = write_rows(tmp_path / "swapped.csv", ["class", "y", "x"],
+                             [[lab, y, x] for x, y, lab in rows[1:]])
+        outputs = []
+        for path in (data, swapped):
+            code, out, _ = run(capsys, ["evaluate", "--model", model_path,
+                                        "--data", path, "--format", "json"])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_unseen_category_is_runtime_error(self, tmp_path, capsys):
+        rows = self.color_rows()
+        train = write_rows(tmp_path / "train.csv", ["color", "x", "class"], rows)
+        model_path = str(tmp_path / "model.json")
+        run(capsys, ["train", "--data", train, "--categorical", "color",
+                     "--out", model_path, "--epochs", "100"])
+        rows[3][0] = "green"
+        other = write_rows(tmp_path / "green.csv", ["color", "x", "class"], rows)
+        code, _, err = run(capsys, ["evaluate", "--model", model_path, "--data", other])
+        assert code == 1
+        assert "unseen category 'green' at row 5, column 'color'" in err
+
+    def test_missing_column_is_runtime_error(self, tmp_path, capsys):
+        data, model_path = self.fit_model(tmp_path, capsys)
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        no_y = write_rows(tmp_path / "no_y.csv", ["x", "class"],
+                          [[x, lab] for x, _, lab in rows[1:]])
+        code, _, err = run(capsys, ["evaluate", "--model", model_path, "--data", no_y])
+        assert code == 1
+        assert "row 1" in err and "'y'" in err
+
     def test_model_or_baseline_required(self, tmp_path, capsys):
         data = write_eighty_twenty_csv(tmp_path / "d.csv")
         code, _, _ = run(capsys, ["evaluate", "--data", data])
@@ -281,6 +348,13 @@ class TestConfigFile:
                                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "key=value" in err
+
+        cfg.write_text("epochs=abc\n")
+        code, _, err = run(capsys, ["--config", str(cfg), "train",
+                                    "--data", str(tmp_path / "absent.csv"),
+                                    "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "--epochs" in err
 
 
 class TestTopLevel:

@@ -101,6 +101,30 @@ class TestLoadCsv:
         assert d.rows[:, 0].tolist() == [0.0, 1.0, 0.0, 2.0]
 
 
+    def test_specs_map_columns_by_name(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv",
+                         "b,city,lab,a\n9,rome,Y,1\n8,oslo,N,2\n7,rome,N,3\n")
+        specs = (FeatureSpec("a", CONTINUOUS),
+                 FeatureSpec("city", CATEGORICAL, ("oslo", "paris", "rome")))
+        d = load_csv(path, "lab", "Y", specs=specs)
+        assert d.specs == specs
+        np.testing.assert_array_equal(d.rows, [[1.0, 2.0], [2.0, 0.0], [3.0, 2.0]])
+        assert d.labels.tolist() == [1, 0, 0]
+
+    def test_specs_reject_unseen_category_and_missing_column(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "city,lab\nrome,Y\nbern,N\n")
+        city = FeatureSpec("city", CATEGORICAL, ("rome",))
+        with pytest.raises(ValueError, match="unseen category 'bern' at row 3, column 'city'"):
+            load_csv(path, "lab", "Y", specs=(city,))
+        with pytest.raises(ValueError, match="row 1 .* column 'a'"):
+            load_csv(path, "lab", "Y", specs=(FeatureSpec("a", CONTINUOUS),))
+
+    def test_repeated_header_name_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "a,lab,lab\n1,Y,2\n3,N,4\n")
+        with pytest.raises(ValueError, match="repeats"):
+            load_csv(path, "lab", "Y")
+
+
 class TestMinMax:
     def test_fit_records_extrema(self):
         s = min_max_fit_matrix([[2.0], [4.0], [10.0]])

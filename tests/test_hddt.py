@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iec.data import CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec
-from iec.hddt import (Internal, Leaf, TreeConfig, best_split_categorical,
+from iec.hddt import (NUMERIC, Internal, Leaf, TreeConfig, best_split_categorical,
                       best_split_numeric, grow_tree, hellinger_split_score,
                       model_from_dict, model_to_dict, predict, select_features)
 from oracles import brute_force_numeric, hd_reference, strip_counts
@@ -18,6 +18,25 @@ def continuous_dataset(rows, labels, names=None):
     names = names or [f"f{j}" for j in range(rows.shape[1])]
     specs = tuple(FeatureSpec(n, CONTINUOUS) for n in names)
     return Dataset(specs, rows, np.asarray(labels))
+
+
+def reference_walk(model, x, seen):
+    """Leaf label of one row, routed node by node; ``seen`` counts the NaN
+    comparisons and the unlisted categories met on the way."""
+    node = model.root
+    while isinstance(node, Internal):
+        split = node.split
+        value = x[split.feature_index]
+        if split.kind == NUMERIC:
+            seen["nan"] += math.isnan(value)
+            node = node.children[0] if value <= split.threshold else node.children[1]
+        elif int(value) in split.categories:
+            node = node.children[split.categories.index(int(value))]
+        else:
+            seen["unlisted"] += 1
+            sizes = [child.n_pos + child.n_neg for child in node.children]
+            node = node.children[int(np.argmax(sizes))]
+    return node.label
 
 
 class TestHellingerScore:
@@ -201,6 +220,14 @@ class TestGrowTree:
                                      np.concatenate([labels, np.ones(len(extra), int)]))
             assert strip_counts(grow_tree(rep).root) == strip_counts(base.root)
 
+    def test_deep_tree_grows_and_predicts(self):
+        # Alternating labels over 0..799 need a chain of about 800 splits,
+        # deeper than a recursive build reaches under the default limit.
+        labels = np.arange(800) % 2
+        d = continuous_dataset(np.arange(800.0)[:, np.newaxis], labels)
+        model = grow_tree(d)
+        np.testing.assert_array_equal(predict(model, d.rows), labels)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             continuous_dataset(np.zeros((0, 1)), [])
@@ -233,6 +260,35 @@ class TestPredict:
         assert isinstance(model.root, Internal)
         # querying the never-observed category 2 follows the bigger child
         assert predict(model, np.array([[2.0]]))[0] == 0
+
+    def test_matches_per_row_walk_on_mixed_trees(self):
+        rng = np.random.default_rng(30)
+        specs = (FeatureSpec("x", CONTINUOUS), FeatureSpec("c", CATEGORICAL, tuple("abcde")),
+                 FeatureSpec("y", CONTINUOUS), FeatureSpec("d", CATEGORICAL, tuple("pqr")))
+        seen = {"nan": 0, "unlisted": 0}
+        for _ in range(20):
+            n = int(rng.integers(10, 80))
+            rows = np.column_stack([rng.normal(size=n), rng.integers(0, 5, size=n),
+                                    rng.integers(0, 4, size=n), rng.integers(0, 3, size=n)])
+            labels = (rng.uniform(size=n) < 0.3 + 0.1 * rows[:, 1]).astype(int)
+            if labels.min() == labels.max():
+                continue
+            model = grow_tree(Dataset(specs, rows, labels),
+                              TreeConfig(min_leaf=int(rng.integers(1, 4))))
+            queries = np.column_stack([rng.normal(size=300), rng.uniform(-0.9, 5, size=300),
+                                       rng.normal(2, 2, size=300), rng.uniform(0, 3, size=300)])
+            queries[rng.uniform(size=300) < 0.2, 0] = np.nan
+            queries[rng.uniform(size=300) < 0.2, 2] = np.nan
+            expected = [reference_walk(model, q, seen) for q in queries]
+            np.testing.assert_array_equal(predict(model, queries), expected)
+        assert seen["nan"] > 0 and seen["unlisted"] > 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_category_rejected(self, value):
+        specs = (FeatureSpec("c", CATEGORICAL, ("a", "b")),)
+        model = grow_tree(Dataset(specs, np.array([[0.0], [1.0]]), np.array([0, 1])))
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(model, np.array([[0.0], [value]]))
 
     def test_schema_mismatch(self):
         d = continuous_dataset([[1.0], [2.0]], [1, 0])
