@@ -5,6 +5,27 @@ squashes the hidden-layer combination into (0, 1) so the 0.5 decision
 threshold is meaningful.  Training minimizes mean squared error against 0/1
 targets for a fixed number of epochs with a fixed learning rate, which keeps
 runs deterministic for a given seed.
+
+``sigmoid`` is branch-free: with e = exp(-|x|) it divides max(e, [x >= 0])
+by 1 + e, which is 1/(1+e) where x >= 0 and e/(1+e) elsewhere.  These are
+the two textbook forms, so the result carries the same bits as evaluating
+each on its own half of the input; exp never overflows and NaN stays NaN.
+
+The forward and backward passes exist once, in ``_Step``, which writes into
+buffers allocated when it is built.  ``train`` builds one and reuses it
+every epoch; ``forward_batch``, ``mse_loss`` and ``mse_gradients`` build a
+fresh one.  Each product keeps the evaluation order of the expressions
+
+    hidden = sigmoid(x @ W.T + b),  out = sigmoid(hidden @ c + c0)
+    r = out - y,  loss = mean(r ** 2)
+    delta = ((2/n) * r) * out * (1 - out)
+    grad_c = hidden.T @ delta,  grad_c0 = sum(delta)
+    delta_h = (outer(delta, c) * hidden) * (1 - hidden)
+    grad_W = delta_h.T @ x,  grad_b = delta_h.sum(axis=0)
+
+on the same memory layouts, so the buffered step gives the bits those
+expressions give.  Reordering any of them (a BLAS ``ones @ delta_h`` in
+place of the row-by-row column sum, say) changes the last bits.
 """
 
 from __future__ import annotations
@@ -17,15 +38,24 @@ import numpy as np
 from iec.data import round_half_away
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Logistic function, evaluated without overflow for large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    if out is None:
+        out = np.empty_like(x)
+    return _sigmoid(x, out, np.empty_like(x))
+
+
+def _sigmoid(x, out, e):
+    """Branch-free logistic of ``x`` into ``out`` (which may be ``x``), using
+    ``e`` as scratch.  ``x`` is read before ``out`` is written."""
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +118,60 @@ def hidden_neuron_count(n: int, d_m: int) -> int:
     return max(1, round_half_away(math.sqrt(n / (d_m * math.log(n)))))
 
 
-def _forward_raw(w, b, c, c0, x):
-    hidden = sigmoid(x @ w.T + b)
-    return sigmoid(hidden @ c + c0), hidden
+class _Step:
+    """One forward/backward pass over a fixed n x d input, into buffers
+    allocated once.
+
+    ``forward`` leaves the hidden activations in ``hidden`` and the outputs
+    in ``out``; ``backward`` then fills ``grad_w``, ``grad_b`` and ``grad_c``
+    and returns the loss and the output-bias gradient.
+    """
+
+    def __init__(self, x: np.ndarray, k: int):
+        n, d = x.shape
+        self.x = x
+        self.hidden = np.empty((n, k))
+        self.delta_hidden = np.empty((n, k))
+        self.scratch = np.empty((n, k))
+        self.out = np.empty(n)
+        self.delta = np.empty(n)
+        self.out_scratch = np.empty(n)
+        self.grad_w = np.empty((k, d))
+        self.grad_b = np.empty(k)
+        self.grad_c = np.empty(k)
+
+    def forward(self, w, b, c, c0: float) -> np.ndarray:
+        hidden = np.matmul(self.x, w.T, out=self.hidden)
+        hidden += b
+        _sigmoid(hidden, hidden, self.scratch)
+        out = np.matmul(hidden, c, out=self.out)
+        out += c0
+        return _sigmoid(out, out, self.out_scratch)
+
+    def backward(self, c, targets: np.ndarray) -> tuple[float, float]:
+        out, hidden = self.out, self.hidden
+        residual = np.subtract(out, targets, out=self.delta)
+        loss = float(np.multiply(residual, residual, out=self.out_scratch).mean())
+        # The loss has used the residual; it is scaled into delta in place.
+        delta = np.multiply(residual, 2.0 / len(out), out=self.delta)
+        delta *= out
+        delta *= np.subtract(1.0, out, out=self.out_scratch)
+        np.matmul(hidden.T, delta, out=self.grad_c)
+        grad_c0 = float(delta.sum())
+        delta_hidden = np.multiply(delta[:, np.newaxis], c, out=self.delta_hidden)
+        delta_hidden *= hidden
+        delta_hidden *= np.subtract(1.0, hidden, out=self.scratch)
+        np.matmul(delta_hidden.T, self.x, out=self.grad_w)
+        np.sum(delta_hidden, axis=0, out=self.grad_b)
+        return loss, grad_c0
+
+
+def _run_step(model: MlpModel, x: np.ndarray) -> _Step:
+    """A fresh step with the forward pass of ``model`` over ``x`` done."""
+    step = _Step(x, model.hidden_count)
+    step.forward(model.hidden_weights, model.hidden_biases,
+                 model.output_weights, model.output_bias)
+    return step
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -98,9 +179,7 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ValueError(f"inputs must be n x {model.input_dim}")
-    out, _ = _forward_raw(model.hidden_weights, model.hidden_biases,
-                          model.output_weights, model.output_bias, x)
-    return out
+    return _run_step(model, x).out
 
 
 def forward(model: MlpModel, z) -> float:
@@ -123,23 +202,13 @@ def classify_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def mse_loss(model: MlpModel, x: np.ndarray, targets) -> float:
     """Mean squared error of the network outputs against 0/1 targets."""
     targets = np.asarray(targets, dtype=np.float64)
-    out = forward_batch(model, x)
-    if targets.shape != out.shape:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.input_dim:
+        raise ValueError(f"inputs must be n x {model.input_dim}")
+    if targets.shape != (x.shape[0],):
         raise ValueError("one target per input row required")
-    return float(np.mean((out - targets) ** 2))
-
-
-def _gradients_raw(w, b, c, c0, x, targets):
-    n = x.shape[0]
-    out, hidden = _forward_raw(w, b, c, c0, x)
-    delta_out = (2.0 / n) * (out - targets) * out * (1.0 - out)
-    grad_c = hidden.T @ delta_out
-    grad_c0 = float(delta_out.sum())
-    delta_hidden = np.outer(delta_out, c) * hidden * (1.0 - hidden)
-    grad_w = delta_hidden.T @ x
-    grad_b = delta_hidden.sum(axis=0)
-    loss = float(np.mean((out - targets) ** 2))
-    return loss, grad_w, grad_b, grad_c, grad_c0
+    loss, _ = _run_step(model, x).backward(model.output_weights, targets)
+    return loss
 
 
 def mse_gradients(model: MlpModel, x: np.ndarray, targets):
@@ -152,10 +221,9 @@ def mse_gradients(model: MlpModel, x: np.ndarray, targets):
     targets = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim or targets.shape != (x.shape[0],):
         raise ValueError("inputs must be n x input_dim with one target per row")
-    _, gw, gb, gc, gc0 = _gradients_raw(model.hidden_weights, model.hidden_biases,
-                                        model.output_weights, model.output_bias,
-                                        x, targets)
-    return gw, gb, gc, gc0
+    step = _run_step(model, x)
+    _, grad_c0 = step.backward(model.output_weights, targets)
+    return step.grad_w, step.grad_b, step.grad_c, grad_c0
 
 
 def init_model(d_m: int, k: int, seed: int, init_scale: float = 0.5) -> MlpModel:
@@ -197,13 +265,15 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
     c0 = start.output_bias
     lr = config.learning_rate
 
+    step = _Step(x, k)
     for epoch in range(1, config.epochs + 1):
-        loss, gw, gb, gc, gc0 = _gradients_raw(w, b, c, c0, x, y)
+        step.forward(w, b, c, c0)
+        loss, gc0 = step.backward(c, y)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
-        w -= lr * gw
-        b -= lr * gb
-        c -= lr * gc
+        w -= lr * step.grad_w
+        b -= lr * step.grad_b
+        c -= lr * step.grad_c
         c0 -= lr * gc0
 
     return MlpModel(x.shape[1], k, w, b, c, c0)

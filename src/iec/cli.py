@@ -171,9 +171,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     model = ensemble.fit(dataset, args.tree_config, args.train_config)
+    # Built before the file is opened, so a failure keeps the previous file.
+    text = json.dumps(ensemble.model_to_dict(model), indent=2)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(ensemble.model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
     preds = ensemble.predict(model, dataset.rows)
     train_report = metrics.report(metrics.confusion(preds, dataset.labels))

@@ -37,6 +37,19 @@ class IecModel:
     def __post_init__(self):
         if not self.selected_features:
             raise ValueError("selected_features cannot be empty")
+        specs = self.tree.specs
+        if (len(set(self.selected_features)) != len(self.selected_features)
+                or not all(0 <= j < len(specs) for j in self.selected_features)):
+            raise ValueError(f"selected_features must be distinct indices in "
+                             f"0 .. {len(specs) - 1}")
+        width = 1 + sum(len(specs[j].categories) if specs[j].kind == CATEGORICAL else 1
+                        for j in self.selected_features)
+        if self.d_m != width:
+            raise ValueError(f"d_m is {self.d_m} but the selected features and the "
+                             f"OP column give {width} network inputs")
+        if len(self.scaling.mins) != self.d_m:
+            raise ValueError(f"scaling has {len(self.scaling.mins)} columns but d_m "
+                             f"is {self.d_m}")
         if self.net.input_dim != self.d_m:
             raise ValueError(
                 f"network expects {self.net.input_dim} inputs but d_m is {self.d_m}"

@@ -15,6 +15,60 @@ def zero_model(d=2, k=2):
     return MlpModel(d, k, np.zeros((k, d)), np.zeros(k), np.zeros(k), 0.0)
 
 
+# Reference implementation: the masked sigmoid and the allocating
+# forward/backward pass and epoch loop, written as plain expressions.  The
+# library's buffered step must give exactly these bits.
+
+def reference_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_forward(w, b, c, c0, x):
+    hidden = reference_sigmoid(x @ w.T + b)
+    return reference_sigmoid(hidden @ c + c0), hidden
+
+
+def reference_gradients(w, b, c, c0, x, targets):
+    n = x.shape[0]
+    out, hidden = reference_forward(w, b, c, c0, x)
+    delta_out = (2.0 / n) * (out - targets) * out * (1.0 - out)
+    grad_c = hidden.T @ delta_out
+    grad_c0 = float(delta_out.sum())
+    delta_hidden = np.outer(delta_out, c) * hidden * (1.0 - hidden)
+    grad_w = delta_hidden.T @ x
+    grad_b = delta_hidden.sum(axis=0)
+    loss = float(np.mean((out - targets) ** 2))
+    return loss, grad_w, grad_b, grad_c, grad_c0
+
+
+def reference_train(x, y, k, config):
+    start = init_model(x.shape[1], k, config.seed, config.init_scale)
+    w = start.hidden_weights.copy()
+    b = start.hidden_biases.copy()
+    c = start.output_weights.copy()
+    c0 = start.output_bias
+    for _ in range(config.epochs):
+        _, gw, gb, gc, gc0 = reference_gradients(w, b, c, c0, x, y)
+        w -= config.learning_rate * gw
+        b -= config.learning_rate * gb
+        c -= config.learning_rate * gc
+        c0 -= config.learning_rate * gc0
+    return w, b, c, c0
+
+
+def assert_same_bits(actual, expected):
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 class TestHiddenNeuronCount:
     def test_documented_example(self):
         # sqrt(1000 / (6 * ln 1000)) = sqrt(24.13...) -> 5
@@ -43,6 +97,28 @@ class TestSigmoid:
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert np.isfinite(out).all()
         assert out[0] >= 0.0 and out[1] <= 1.0
+
+    def test_bit_identical_to_masked_form(self):
+        edges = np.array([0.0, 1e-300, 36.0, 709.0, 745.0, 1000.0, np.inf])
+        rng = np.random.default_rng(4)
+        grid = np.concatenate([edges, -edges, rng.normal(0, 5, 500),
+                               rng.uniform(-800, 800, 500)])
+        assert_same_bits(sigmoid(grid), reference_sigmoid(grid))
+        assert_same_bits(sigmoid(grid.reshape(39, -1)),
+                         reference_sigmoid(grid.reshape(39, -1)))
+
+    def test_nan_stays_nan(self):
+        out = sigmoid(np.array([np.nan, 0.0, -np.nan]))
+        assert np.isnan(out[0]) and np.isnan(out[2]) and out[1] == 0.5
+
+    def test_out_argument(self):
+        x = np.random.default_rng(6).normal(0, 10, size=(7, 3))
+        expected = reference_sigmoid(x)
+        buffer = np.empty_like(x)
+        assert sigmoid(x, out=buffer) is buffer
+        assert_same_bits(buffer, expected)
+        assert sigmoid(x, out=x) is x
+        assert_same_bits(x, expected)
 
 
 class TestForward:
@@ -80,6 +156,15 @@ class TestForward:
             forward(zero_model(d=2), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="inputs"):
             forward_batch(zero_model(d=2), np.zeros((3, 5)))
+
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(8)
+        for n, d, k in ((1, 1, 1), (3, 2, 1), (300, 6, 3), (2000, 33, 5)):
+            model = init_model(d, k, seed=n, init_scale=2.0)
+            x = rng.uniform(-1, 2, size=(n, d))
+            expected, _ = reference_forward(model.hidden_weights, model.hidden_biases,
+                                            model.output_weights, model.output_bias, x)
+            assert_same_bits(forward_batch(model, x), expected)
 
     def test_batch_matches_single(self):
         model = init_model(3, 2, seed=99)
@@ -119,6 +204,19 @@ class TestGradients:
                 mse_gradients(model, x, y),
                 finite_difference_gradients(model, x, y)))
         assert worst < 1e-5
+
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(2)
+        for n, d, k in ((3, 2, 1), (300, 6, 3), (2000, 33, 5)):
+            model = init_model(d, k, seed=n, init_scale=1.0)
+            x = rng.uniform(0, 1, size=(n, d))
+            y = rng.integers(0, 2, size=n).astype(float)
+            loss, *expected = reference_gradients(
+                model.hidden_weights, model.hidden_biases, model.output_weights,
+                model.output_bias, x, y)
+            for actual, want in zip(mse_gradients(model, x, y), expected):
+                assert_same_bits(actual, want)
+            assert_same_bits(mse_loss(model, x, y), loss)
 
     def test_input_validation(self):
         model = zero_model(d=2, k=1)
@@ -172,6 +270,20 @@ class TestTrain:
         np.testing.assert_array_equal(a.hidden_weights, b.hidden_weights)
         np.testing.assert_array_equal(a.output_weights, b.output_weights)
         assert a.output_bias == b.output_bias
+
+    @pytest.mark.parametrize("n, d, k, learning_rate", [
+        (3, 1, 1, 0.3), (300, 6, 3, 0.3), (2000, 33, 5, 2.0)])
+    def test_weights_bit_identical_to_reference(self, n, d, k, learning_rate):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0, 1, size=(n, d))
+        y = (rng.uniform(size=n) < 0.3).astype(float)
+        config = TrainConfig(epochs=50, learning_rate=learning_rate, seed=k)
+        model = train(x, y, k, config)
+        w, b, c, c0 = reference_train(x, y, k, config)
+        assert_same_bits(model.hidden_weights, w)
+        assert_same_bits(model.hidden_biases, b)
+        assert_same_bits(model.output_weights, c)
+        assert_same_bits(model.output_bias, c0)
 
     def test_non_finite_loss_reports_epoch(self):
         x = np.array([[np.nan, 1.0], [0.0, 1.0]])

@@ -47,6 +47,21 @@ def write_eighty_twenty_csv(path):
     return str(path)
 
 
+def widen_network_input(doc):
+    """Add one network input to d_m, the scaling and the network, but not to
+    the selected features."""
+    doc["d_m"] += 1
+    scaling = doc["scaling"]
+    scaling["columns"].append(len(scaling["columns"]))
+    scaling["mins"].append(0.0)
+    scaling["maxs"].append(1.0)
+    net = doc["net"]
+    dim, weights = net["input_dim"], net["hidden_weights"]
+    net["hidden_weights"] = [v for i in range(net["hidden_count"])
+                             for v in weights[i * dim:(i + 1) * dim] + [0.0]]
+    net["input_dim"] = dim + 1
+
+
 class TestSynth:
     def test_writes_expected_rows(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -125,6 +140,18 @@ class TestTrain:
         code, _, _ = run(capsys, ["train", "--data", str(tmp_path / "no.csv"),
                                   "--out", str(tmp_path / "m.json")])
         assert code == 1
+
+    def test_failed_save_keeps_previous_model(self, tmp_path, capsys):
+        # Alternating labels over 0..799 grow a tree too deep for the nested
+        # model JSON, so saving fails after training.
+        data = write_rows(tmp_path / "deep.csv", ["x", "class"],
+                          [[str(i), str(i % 2)] for i in range(800)])
+        model_path = tmp_path / "m.json"
+        model_path.write_bytes(b"previous model\n")
+        code, _, _ = run(capsys, ["train", "--data", data, "--epochs", "1",
+                                  "--out", str(model_path)])
+        assert code == 1
+        assert model_path.read_bytes() == b"previous model\n"
 
     def test_categorical_column_flag(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -245,6 +272,30 @@ class TestEvaluate:
         code, _, err = run(capsys, ["evaluate", "--model", model_path, "--data", no_y])
         assert code == 1
         assert "row 1" in err and "'y'" in err
+
+    @pytest.mark.parametrize("field, tamper", [
+        ("selected_features", lambda doc: doc["selected_features"].append(
+            doc["selected_features"][0])),
+        ("selected_features", lambda doc: doc.update(
+            selected_features=[len(doc["tree"]["specs"])])),
+        ("selected_features", lambda doc: doc.update(selected_features=[-1])),
+        ("scaling", lambda doc: [doc["scaling"][key].pop()
+                                 for key in ("columns", "mins", "maxs")]),
+        ("d_m", lambda doc: widen_network_input(doc)),
+    ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
+            "scaling-width", "d_m-width"])
+    def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
+        data = write_separable_csv(tmp_path / "d.csv")
+        model_path = tmp_path / "model.json"
+        run(capsys, ["train", "--data", data, "--out", str(model_path), "--epochs", "10"])
+        doc = json.loads(model_path.read_text())
+        tamper(doc)
+        model_path.write_text(json.dumps(doc))
+        # The data file does not exist: the model must be rejected before it is read.
+        code, _, err = run(capsys, ["evaluate", "--model", str(model_path),
+                                    "--data", str(tmp_path / "absent.csv")])
+        assert code == 1
+        assert f"error: {field} " in err and "absent.csv" not in err
 
     def test_model_or_baseline_required(self, tmp_path, capsys):
         data = write_eighty_twenty_csv(tmp_path / "d.csv")
