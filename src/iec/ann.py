@@ -12,9 +12,11 @@ the two textbook forms, so the result carries the same bits as evaluating
 each on its own half of the input; exp never overflows and NaN stays NaN.
 
 The forward and backward passes exist once, in ``_Step``, which writes into
-buffers allocated when it is built.  ``train`` builds one and reuses it
-every epoch; ``forward_batch``, ``mse_loss`` and ``mse_gradients`` build a
-fresh one.  Each product keeps the evaluation order of the expressions
+buffers it allocates once (the gradient buffers at its first backward
+pass).  ``train`` builds one and reuses it every epoch; ``forward_batch``
+and ``mse_gradients`` build a fresh one, and ``mse_loss`` squares the
+residuals of ``forward_batch``.  Each product keeps the evaluation order of
+the expressions
 
     hidden = sigmoid(x @ W.T + b),  out = sigmoid(hidden @ c + c0)
     r = out - y,  loss = mean(r ** 2)
@@ -38,12 +40,10 @@ import numpy as np
 from iec.data import round_half_away
 
 
-def sigmoid(x, out=None):
+def sigmoid(x):
     """Logistic function, evaluated without overflow for large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(x)
-    return _sigmoid(x, out, np.empty_like(x))
+    return _sigmoid(x, np.empty_like(x), np.empty_like(x))
 
 
 def _sigmoid(x, out, e):
@@ -124,23 +124,22 @@ class _Step:
 
     ``forward`` leaves the hidden activations in ``hidden`` and the outputs
     in ``out``; ``backward`` then fills ``grad_w``, ``grad_b`` and ``grad_c``
-    and returns the loss and the output-bias gradient.
+    for the weights of that forward pass and returns the loss and the
+    output-bias gradient.  The gradient buffers are allocated by the first
+    ``backward``, so forward-only callers never hold them.
     """
 
     def __init__(self, x: np.ndarray, k: int):
-        n, d = x.shape
+        n, _ = x.shape
         self.x = x
         self.hidden = np.empty((n, k))
-        self.delta_hidden = np.empty((n, k))
         self.scratch = np.empty((n, k))
         self.out = np.empty(n)
-        self.delta = np.empty(n)
         self.out_scratch = np.empty(n)
-        self.grad_w = np.empty((k, d))
-        self.grad_b = np.empty(k)
-        self.grad_c = np.empty(k)
+        self.grad_w = None
 
     def forward(self, w, b, c, c0: float) -> np.ndarray:
+        self.c = c
         hidden = np.matmul(self.x, w.T, out=self.hidden)
         hidden += b
         _sigmoid(hidden, hidden, self.scratch)
@@ -148,8 +147,14 @@ class _Step:
         out += c0
         return _sigmoid(out, out, self.out_scratch)
 
-    def backward(self, c, targets: np.ndarray) -> tuple[float, float]:
+    def backward(self, targets: np.ndarray) -> tuple[float, float]:
         out, hidden = self.out, self.hidden
+        if self.grad_w is None:
+            self.delta = np.empty_like(out)
+            self.delta_hidden = np.empty_like(hidden)
+            self.grad_w = np.empty((hidden.shape[1], self.x.shape[1]))
+            self.grad_b = np.empty(hidden.shape[1])
+            self.grad_c = np.empty(hidden.shape[1])
         residual = np.subtract(out, targets, out=self.delta)
         loss = float(np.multiply(residual, residual, out=self.out_scratch).mean())
         # The loss has used the residual; it is scaled into delta in place.
@@ -158,7 +163,7 @@ class _Step:
         delta *= np.subtract(1.0, out, out=self.out_scratch)
         np.matmul(hidden.T, delta, out=self.grad_c)
         grad_c0 = float(delta.sum())
-        delta_hidden = np.multiply(delta[:, np.newaxis], c, out=self.delta_hidden)
+        delta_hidden = np.multiply(delta[:, np.newaxis], self.c, out=self.delta_hidden)
         delta_hidden *= hidden
         delta_hidden *= np.subtract(1.0, hidden, out=self.scratch)
         np.matmul(delta_hidden.T, self.x, out=self.grad_w)
@@ -202,13 +207,10 @@ def classify_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def mse_loss(model: MlpModel, x: np.ndarray, targets) -> float:
     """Mean squared error of the network outputs against 0/1 targets."""
     targets = np.asarray(targets, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(f"inputs must be n x {model.input_dim}")
-    if targets.shape != (x.shape[0],):
+    out = forward_batch(model, x)
+    if targets.shape != out.shape:
         raise ValueError("one target per input row required")
-    loss, _ = _run_step(model, x).backward(model.output_weights, targets)
-    return loss
+    return float(np.mean((out - targets) ** 2))
 
 
 def mse_gradients(model: MlpModel, x: np.ndarray, targets):
@@ -222,7 +224,7 @@ def mse_gradients(model: MlpModel, x: np.ndarray, targets):
     if x.ndim != 2 or x.shape[1] != model.input_dim or targets.shape != (x.shape[0],):
         raise ValueError("inputs must be n x input_dim with one target per row")
     step = _run_step(model, x)
-    _, grad_c0 = step.backward(model.output_weights, targets)
+    _, grad_c0 = step.backward(targets)
     return step.grad_w, step.grad_b, step.grad_c, grad_c0
 
 
@@ -268,7 +270,7 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
     step = _Step(x, k)
     for epoch in range(1, config.epochs + 1):
         step.forward(w, b, c, c0)
-        loss, gc0 = step.backward(c, y)
+        loss, gc0 = step.backward(y)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
         w -= lr * step.grad_w

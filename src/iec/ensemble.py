@@ -42,8 +42,7 @@ class IecModel:
                 or not all(0 <= j < len(specs) for j in self.selected_features)):
             raise ValueError(f"selected_features must be distinct indices in "
                              f"0 .. {len(specs) - 1}")
-        width = 1 + sum(len(specs[j].categories) if specs[j].kind == CATEGORICAL else 1
-                        for j in self.selected_features)
+        width = 1 + sum(_width(specs[j]) for j in self.selected_features)
         if self.d_m != width:
             raise ValueError(f"d_m is {self.d_m} but the selected features and the "
                              f"OP column give {width} network inputs")
@@ -54,6 +53,11 @@ class IecModel:
             raise ValueError(
                 f"network expects {self.net.input_dim} inputs but d_m is {self.d_m}"
             )
+
+
+def _width(spec) -> int:
+    """Network input columns of one feature: one per category, else one."""
+    return len(spec.categories) if spec.kind == CATEGORICAL else 1
 
 
 def expand_features(rows: np.ndarray, specs, selected) -> np.ndarray:
@@ -71,9 +75,9 @@ def expand_features(rows: np.ndarray, specs, selected) -> np.ndarray:
         col = rows[:, j]
         if spec.kind == CATEGORICAL:
             idx = col.astype(np.int64)
-            if not ((idx == col) & (idx >= 0) & (idx < len(spec.categories))).all():
+            if not ((idx == col) & (idx >= 0) & (idx < _width(spec))).all():
                 raise ValueError(f"invalid category index in feature {spec.name!r}")
-            onehot = np.zeros((rows.shape[0], len(spec.categories)))
+            onehot = np.zeros((rows.shape[0], _width(spec)))
             onehot[np.arange(rows.shape[0]), idx] = 1.0
             blocks.append(onehot)
         else:

@@ -111,15 +111,6 @@ class TestSigmoid:
         out = sigmoid(np.array([np.nan, 0.0, -np.nan]))
         assert np.isnan(out[0]) and np.isnan(out[2]) and out[1] == 0.5
 
-    def test_out_argument(self):
-        x = np.random.default_rng(6).normal(0, 10, size=(7, 3))
-        expected = reference_sigmoid(x)
-        buffer = np.empty_like(x)
-        assert sigmoid(x, out=buffer) is buffer
-        assert_same_bits(buffer, expected)
-        assert sigmoid(x, out=x) is x
-        assert_same_bits(x, expected)
-
 
 class TestForward:
     def test_zero_network_outputs_half(self):
