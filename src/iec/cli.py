@@ -269,9 +269,14 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        # A key may belong to any command, so one file can serve several.
+        dests = {sub: {a.dest for a in sub._actions} for sub in subs.values()}
+        unknown = sorted(set(overrides).difference(*dests.values()))
+        if unknown:
+            print(f"error: {known.config}: config keys {unknown} name no flag", file=sys.stderr)
+            return 2
         # argparse applies each flag's type to a string default it falls back on.
-        for sub in subs.values():
-            known_dests = {a.dest for a in sub._actions}
+        for sub, known_dests in dests.items():
             sub.set_defaults(**{key: value for key, value in overrides.items()
                                 if key in known_dests})
 

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,9 @@ def load_csv(path, label_column: str, positive_label: str,
     ``specs`` (a fitted model's schema) the features are those specs, each
     column found by header name wherever it stands, and categories get the
     specs' codes.  Rows whose label equals ``positive_label`` become class 1.
-    Missing and non-finite (nan, inf) values, unparseable numbers, unseen
-    categories and absent columns are rejected, naming the row and column.
+    One pass reports the first faulty row, naming row and column: a missing,
+    non-finite (nan, inf) or unparseable value, an unseen category, an absent
+    column or a third label value.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -157,68 +159,66 @@ def load_csv(path, label_column: str, positive_label: str,
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        data_rows = list(reader)
+        if len(set(header)) != len(header):
+            raise ValueError(f"{path}: row 1 (header) repeats a column name")
+        if label_column not in header:
+            raise ValueError(f"{path}: label column {label_column!r} not in header")
+        missing = [c for c in categorical_columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: categorical columns {missing} not in header")
+        if specs is None:
+            names = [c for c in header if c != label_column]
+            codes = {c: {} for c in names if c in categorical_columns}
+        else:
+            names = [s.name for s in specs]
+            codes = {s.name: {c: i for i, c in enumerate(s.categories)}
+                     for s in specs if s.kind == CATEGORICAL}
+        for name in names:
+            if name not in header:
+                raise ValueError(f"{path}: row 1 (header) has no column {name!r}")
+        # One converter per feature: float, the specs' codes, or codes by first appearance.
+        features = [(header.index(name),
+                     float if name not in codes
+                     else codes[name].__getitem__ if specs is not None
+                     else lambda cell, seen=codes[name]: seen.setdefault(cell, len(seen)))
+                    for name in names]
+        label_at = header.index(label_column)
 
-    if not data_rows:
+        cells = array("d")
+        labels = bytearray()
+        label_values: set[str] = set()
+        for r, raw in enumerate(reader, start=2):
+            if len(raw) != len(header):
+                raise ValueError(f"{path}: row {r} has {len(raw)} fields, expected {len(header)}")
+            if "" in raw:
+                raise ValueError(
+                    f"{path}: missing value at row {r}, column {header[raw.index('')]!r}")
+            try:
+                for j, convert in features:
+                    cells.append(convert(raw[j]))
+            except (KeyError, ValueError):
+                what, hint = (("unseen category", "") if header[j] in codes
+                              else ("non-numeric value", " (declare it categorical?)"))
+                raise ValueError(f"{path}: {what} {raw[j]!r} at row {r}, "
+                                 f"column {header[j]!r}{hint}") from None
+            label = raw[label_at]
+            label_values.add(label)
+            if len(label_values) > 2:
+                raise ValueError(f"{path}: third distinct value {label!r} at row {r} "
+                                 f"of label column {label_column!r}, expected two")
+            labels.append(label == positive_label)
+
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    if len(set(header)) != len(header):
-        raise ValueError(f"{path}: row 1 (header) repeats a column name")
-    if label_column not in header:
-        raise ValueError(f"{path}: label column {label_column!r} not in header")
-    missing = [c for c in categorical_columns if c not in header]
-    if missing:
-        raise ValueError(f"{path}: categorical columns {missing} not in header")
-    for r, raw in enumerate(data_rows, start=2):
-        if len(raw) != len(header):
-            raise ValueError(f"{path}: row {r} has {len(raw)} fields, expected {len(header)}")
-        if "" in raw:
-            raise ValueError(
-                f"{path}: missing value at row {r}, column {header[raw.index('')]!r}")
-
-    columns = dict(zip(header, zip(*data_rows)))
-    label_values = list(dict.fromkeys(columns[label_column]))
-    if len(label_values) > 2:
-        raise ValueError(
-            f"{path}: label column {label_column!r} has {len(label_values)} distinct "
-            f"values {label_values}, expected two"
-        )
     if specs is None:
-        categorical = set(categorical_columns)
-        specs = tuple(
-            FeatureSpec(name, CATEGORICAL, tuple(dict.fromkeys(cells)))
-            if name in categorical else FeatureSpec(name, CONTINUOUS)
-            for name, cells in columns.items() if name != label_column
-        )
-    rows = np.empty((len(data_rows), len(specs)), dtype=np.float64)
-    for j, spec in enumerate(specs):
-        if spec.name not in columns:
-            raise ValueError(f"{path}: row 1 (header) has no column {spec.name!r}")
-        rows[:, j] = _encode_column(path, spec, columns[spec.name])
-
+        specs = tuple(FeatureSpec(name, CATEGORICAL, tuple(codes[name])) if name in codes
+                      else FeatureSpec(name, CONTINUOUS) for name in names)
+    rows = np.frombuffer(cells, dtype=np.float64).reshape(len(labels), len(names))
     finite = np.isfinite(rows)
     if not finite.all():
         r, j = np.argwhere(~finite)[0]
         raise ValueError(f"{path}: non-finite value at row {r + 2}, column {specs[j].name!r}")
-    labels = [1 if cell == positive_label else 0 for cell in columns[label_column]]
-    return Dataset(specs, rows, np.array(labels, dtype=np.int64))
-
-
-def _encode_column(path, spec: FeatureSpec, cells) -> list[float]:
-    """One CSV column as floats: parsed numbers, or indices into the categories."""
-    if spec.kind == CATEGORICAL:
-        convert = {c: float(i) for i, c in enumerate(spec.categories)}.__getitem__
-    else:
-        convert = float
-    values: list[float] = []
-    for r, cell in enumerate(cells, start=2):
-        try:
-            values.append(convert(cell))
-        except (KeyError, ValueError):
-            what, hint = (("unseen category", "") if spec.kind == CATEGORICAL
-                          else ("non-numeric value", " (declare it categorical?)"))
-            raise ValueError(f"{path}: {what} {cell!r} at row {r}, "
-                             f"column {spec.name!r}{hint}") from None
-    return values
+    return Dataset(specs, rows, np.frombuffer(labels, dtype=np.uint8))
 
 
 def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:

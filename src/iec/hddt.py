@@ -290,16 +290,35 @@ def _node_to_dict(node: TreeNode) -> dict:
     return d
 
 
-def _node_from_dict(d: dict) -> TreeNode:
+def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> TreeNode:
+    """Rebuild a node, rejecting one that ``predict`` could not route, naming the field."""
     if d["kind"] == "leaf":
+        if d["label"] not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {d['label']!r}")
         return Leaf(int(d["label"]), int(d["n_pos"]), int(d["n_neg"]))
-    kind = d["split_kind"]
-    split = SplitCandidate(
-        int(d["feature_index"]), kind, float(d["hd_score"]),
-        threshold=float(d["threshold"]) if kind == NUMERIC else None,
-        categories=tuple(int(c) for c in d.get("categories", ())),
-    )
-    children = tuple(_node_from_dict(c) for c in d["children"])
+    j = int(d["feature_index"])
+    if not 0 <= j < len(specs):
+        raise ValueError(f"feature_index {j} is outside 0 .. {len(specs) - 1}")
+    kind, spec = d["split_kind"], specs[j]
+    if kind != (NUMERIC if spec.kind == CONTINUOUS else CATEGORICAL_SPLIT):
+        raise ValueError(f"split_kind {kind!r} does not fit {spec.kind} feature {spec.name!r}")
+    threshold, categories = None, ()
+    if kind == NUMERIC:
+        threshold = float(d["threshold"])
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
+    else:
+        categories = tuple(int(c) for c in d["categories"])
+        if (len(categories) < 2 or len(set(categories)) != len(categories)
+                or not all(0 <= c < len(spec.categories) for c in categories)):
+            raise ValueError(f"categories {list(categories)} must be at least two distinct "
+                             f"codes in 0 .. {len(spec.categories) - 1} of {spec.name!r}")
+    arity = len(categories) if categories else 2
+    if len(d["children"]) != arity:
+        raise ValueError(f"children has {len(d['children'])} nodes, a {kind} split here "
+                         f"needs {arity}")
+    children = tuple(_node_from_dict(c, specs) for c in d["children"])
+    split = SplitCandidate(j, kind, float(d["hd_score"]), threshold, categories)
     return Internal(split, children, int(d["n_pos"]), int(d["n_neg"]))
 
 
@@ -315,6 +334,6 @@ def model_to_dict(model: HddtModel) -> dict:
 def model_from_dict(d: dict) -> HddtModel:
     if d.get("format_version") != 1:
         raise ValueError(f"unsupported tree format version {d.get('format_version')!r}")
-    return HddtModel(_node_from_dict(d["root"]),
-                     np.array(d["importances"], dtype=np.float64),
-                     specs_from_dicts(d["specs"]))
+    specs = specs_from_dicts(d["specs"])
+    return HddtModel(_node_from_dict(d["root"], specs),
+                     np.array(d["importances"], dtype=np.float64), specs)

@@ -297,6 +297,45 @@ class TestEvaluate:
         assert code == 1
         assert f"error: {field} " in err and "absent.csv" not in err
 
+    # The numeric model's root splits x (continuous); the categorical model's
+    # root splits color into its two categories.  Both roots have leaf children.
+    @pytest.mark.parametrize("field, categorical, tamper", [
+        ("feature_index", False, lambda root: root.update(feature_index=99)),
+        ("feature_index", False, lambda root: root.update(feature_index=-1)),
+        ("split_kind", False, lambda root: root.update(split_kind="categorical",
+                                                       categories=[0, 1])),
+        ("split_kind", True, lambda root: root.update(split_kind="numeric", threshold=0.5)),
+        ("children", False, lambda root: root["children"].pop()),
+        ("children", True, lambda root: root["children"].append(root["children"][0])),
+        ("categories", True, lambda root: root.update(categories=[0, 0])),
+        ("categories", True, lambda root: root.update(categories=[0, 2])),
+        ("threshold", False, lambda root: root.update(threshold=float("nan"))),
+        ("threshold", False, lambda root: root.update(threshold=float("inf"))),
+        ("label", False, lambda root: root["children"][0].update(label=7)),
+        ("label", True, lambda root: root["children"][1].update(label=-1)),
+    ], ids=["feature-past-specs", "negative-feature", "categorical-on-continuous",
+            "numeric-on-categorical", "one-numeric-child", "extra-categorical-child",
+            "repeated-category", "unknown-category", "nan-threshold", "inf-threshold",
+            "leaf-label-7", "leaf-label-minus-1"])
+    def test_malformed_tree_rejected_at_load(self, tmp_path, capsys, field, categorical,
+                                             tamper):
+        model_path = tmp_path / "model.json"
+        if categorical:
+            data = write_rows(tmp_path / "d.csv", ["color", "x", "class"], self.color_rows())
+            extra = ["--categorical", "color"]
+        else:
+            data, extra = write_separable_csv(tmp_path / "d.csv"), []
+        code, _, _ = run(capsys, ["train", "--data", data, "--out", str(model_path),
+                                  "--epochs", "10", *extra])
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        tamper(doc["tree"]["root"])
+        model_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["evaluate", "--model", str(model_path),
+                                    "--data", str(tmp_path / "absent.csv")])
+        assert code == 1
+        assert f"error: {field} " in err and "absent.csv" not in err
+
     def test_model_or_baseline_required(self, tmp_path, capsys):
         data = write_eighty_twenty_csv(tmp_path / "d.csv")
         code, _, _ = run(capsys, ["evaluate", "--data", data])
@@ -406,6 +445,21 @@ class TestConfigFile:
                                     "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "--epochs" in err
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        argv = ["--config", str(cfg), "train", "--data", str(tmp_path / "absent.csv"),
+                "--out", str(tmp_path / "m.json")]
+        cfg.write_text("epoch = 5\n")
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "'epoch'" in err and "absent.csv" not in err
+
+        # Keys of other commands are accepted: the run gets as far as the data file.
+        cfg.write_text("epochs = 5\nrepetitions = 3\nn = 50\n")
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert "absent.csv" in err
 
 
 class TestTopLevel:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,36 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", "a,lab,lab\n1,Y,2\n3,N,4\n")
         with pytest.raises(ValueError, match="repeats"):
             load_csv(path, "lab", "Y")
+
+    def mixed_csv(self, path, n=2000):
+        """Six continuous columns, two categorical ones and a label, seeded."""
+        rng = np.random.default_rng(3)
+        lines = ["x0,x1,x2,city,x3,x4,x5,grade,lab"]
+        for i in range(n):
+            x = [repr(float(v)) for v in rng.normal(size=6)]
+            lines.append(",".join(x[:3] + [f"city{rng.integers(30)}"] + x[3:]
+                                  + [f"g{rng.integers(5)}", "Y" if i % 5 == 0 else "N"]))
+        return write_csv(path, "\n".join(lines) + "\n")
+
+    def test_peak_memory_is_a_few_matrices(self, tmp_path):
+        # Holds only if no string copy of the file is kept: one costs 13-15x the matrix.
+        path = self.mixed_csv(tmp_path / "d.csv")
+        tracemalloc.start()
+        try:
+            d = load_csv(path, "lab", "Y", categorical_columns=("city", "grade"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.n == 2000 and d.p == 8
+        assert peak <= 4 * d.rows.nbytes
+
+    def test_third_label_value_named_at_its_row(self, tmp_path):
+        path = self.mixed_csv(tmp_path / "d.csv", n=5000)
+        with pytest.raises(ValueError) as info:
+            load_csv(path, "x0", "Y", categorical_columns=("city", "grade", "lab"))
+        message = str(info.value)
+        assert len(message) < 500
+        assert "third distinct value" in message and "at row 4 " in message
 
 
 class TestMinMax:
