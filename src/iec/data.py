@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -112,7 +113,9 @@ class ScalingParams:
     def __post_init__(self):
         if len(self.mins) != len(self.maxs):
             raise ValueError("mins and maxs must be parallel")
-        for lo, hi in zip(self.mins, self.maxs):
+        for j, (lo, hi) in enumerate(zip(self.mins, self.maxs)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"scaling column {j}: min {lo} and max {hi} must be finite")
             if hi < lo:
                 raise ValueError("max must be >= min")
 
@@ -240,7 +243,11 @@ def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
         raise ValueError(f"scaling params cover {len(s.mins)} columns, matrix has {x.shape[1]}")
     lo, span = np.array(s.mins), np.array(s.maxs) - np.array(s.mins)
     constant = span == 0.0
-    return np.where(constant, 0.5, np.clip((x - lo) / np.where(constant, 1.0, span), 0.0, 1.0))
+    out = x - lo
+    out /= np.where(constant, 1.0, span)
+    np.clip(out, 0.0, 1.0, out=out)
+    out[:, constant] = 0.5
+    return out
 
 
 def imbalance_cv(d: Dataset) -> float:

@@ -4,8 +4,8 @@ Workflow: grow an unpruned HDDT on the full feature set, keep the features it
 found important, build the network input matrix from those features plus the
 tree's own prediction as one extra 0/1 column, min-max scale, size the hidden
 layer from the training count, and train the one-hidden-layer network.  At
-prediction time the same augmentation and fitted scaling are replayed before
-thresholding the network output.
+prediction time the same input matrix is built and the fitted scaling applied
+before thresholding the network output.
 
 ``run_benchmark`` compares the pipeline with its two halves alone: the
 network on every raw feature (ANN) and the tree (HDDT).
@@ -60,40 +60,35 @@ def _width(spec) -> int:
     return len(spec.categories) if spec.kind == CATEGORICAL else 1
 
 
-def expand_features(rows: np.ndarray, specs, selected) -> np.ndarray:
-    """One-hot expand the selected features into a plain numeric matrix.
+def network_input(rows: np.ndarray, specs, selected, op=None) -> np.ndarray:
+    """The network input matrix of ``rows``, allocated once and filled in slices.
 
-    Continuous features pass through; a categorical feature with m categories
-    becomes m indicator columns.  Column order follows ``selected``.
+    The selected features come first, in the order of ``selected``: a
+    continuous feature as one column, a categorical one with m categories as
+    m indicator columns.  ``op`` (the tree's prediction, the OP column), when
+    given, is the last column.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != len(specs):
         raise ValueError(f"rows must be n x {len(specs)}")
-    blocks = []
+    if not selected:
+        raise ValueError("feature selection cannot be empty")
+    n = rows.shape[0]
+    out = np.zeros((n, sum(_width(specs[j]) for j in selected) + (op is not None)))
+    at = 0
     for j in selected:
-        spec = specs[j]
-        col = rows[:, j]
+        spec, col = specs[j], rows[:, j]
         if spec.kind == CATEGORICAL:
             idx = col.astype(np.int64)
             if not ((idx == col) & (idx >= 0) & (idx < _width(spec))).all():
                 raise ValueError(f"invalid category index in feature {spec.name!r}")
-            onehot = np.zeros((rows.shape[0], _width(spec)))
-            onehot[np.arange(rows.shape[0]), idx] = 1.0
-            blocks.append(onehot)
+            out[np.arange(n), at + idx] = 1.0
         else:
-            blocks.append(col[:, np.newaxis])
-    return np.hstack(blocks)
-
-
-def augment(rows: np.ndarray, tree: HddtModel, selected) -> np.ndarray:
-    """Network input matrix: expanded selected features, then the tree's
-    prediction (the OP column) as a final 0/1 column.
-    """
-    if not selected:
-        raise ValueError("feature selection cannot be empty")
-    expanded = expand_features(rows, tree.specs, selected)
-    op = hddt.predict(tree, rows).astype(np.float64)
-    return np.hstack([expanded, op[:, np.newaxis]])
+            out[:, at] = col
+        at += _width(spec)
+    if op is not None:
+        out[:, at] = op
+    return out
 
 
 def fit(train: Dataset, tree_config: TreeConfig | None = None,
@@ -110,7 +105,7 @@ def fit(train: Dataset, tree_config: TreeConfig | None = None,
         # is then the leaf's constant label.
         selected = list(range(train.p))
 
-    matrix = augment(train.rows, tree, selected)
+    matrix = network_input(train.rows, tree.specs, selected, hddt.predict(tree, train.rows))
     scaling, net = _train_network(matrix, train.labels, train_config or TrainConfig())
     return IecModel(tree, tuple(selected), scaling, net, matrix.shape[1])
 
@@ -127,7 +122,8 @@ def _train_network(x: np.ndarray, labels: np.ndarray,
 
 def predict(model: IecModel, rows: np.ndarray) -> np.ndarray:
     """Predicted 0/1 labels for rows conforming to the tree's feature schema."""
-    matrix = augment(rows, model.tree, model.selected_features)
+    matrix = network_input(rows, model.tree.specs, model.selected_features,
+                           hddt.predict(model.tree, rows))
     scaled = min_max_apply_matrix(matrix, model.scaling)
     return ann.classify_batch(model.net, scaled)
 
@@ -146,9 +142,9 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
     for fold_index, (train, test) in enumerate(folds):
         try:
             all_features = range(train.p)
-            train_matrix = expand_features(train.rows, train.specs, all_features)
+            train_matrix = network_input(train.rows, train.specs, all_features)
             scaling, net = _train_network(train_matrix, train.labels, train_config)
-            test_matrix = expand_features(test.rows, test.specs, all_features)
+            test_matrix = network_input(test.rows, test.specs, all_features)
             ann_preds = ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling))
 
             iec_model = fit(train, tree_config, train_config)

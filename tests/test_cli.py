@@ -282,8 +282,12 @@ class TestEvaluate:
         ("scaling", lambda doc: [doc["scaling"][key].pop()
                                  for key in ("columns", "mins", "maxs")]),
         ("d_m", lambda doc: widen_network_input(doc)),
+        ("scaling", lambda doc: doc["scaling"]["mins"].__setitem__(0, float("nan"))),
+        ("scaling", lambda doc: doc["scaling"]["maxs"].__setitem__(0, float("nan"))),
+        ("scaling", lambda doc: doc["scaling"]["maxs"].__setitem__(0, float("inf"))),
+        ("scaling", lambda doc: doc["scaling"]["mins"].__setitem__(0, float("-inf"))),
     ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
-            "scaling-width", "d_m-width"])
+            "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min"])
     def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"

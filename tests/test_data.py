@@ -206,6 +206,24 @@ class TestMinMax:
         with pytest.raises(ValueError, match="columns"):
             min_max_apply_matrix(np.zeros((2, 3)), s)
 
+    def test_apply_matches_where_form_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n, d = rng.integers(1, 40), rng.integers(1, 8)
+            centre, scale = rng.normal(size=d) * 10, rng.uniform(0.01, 100, size=d)
+            fitted = rng.normal(size=(n, d)) * scale + centre
+            constant = rng.uniform(size=d) < 0.3
+            fitted[:, constant] = fitted[0, constant]
+            s = min_max_fit_matrix(fitted)
+            # Twice the spread: many values fall outside the fitted range.
+            x = rng.normal(size=(rng.integers(1, 40), d)) * 2 * scale + centre
+            lo, span = np.array(s.mins), np.array(s.maxs) - np.array(s.mins)
+            where = np.where(span == 0.0, 0.5,
+                             np.clip((x - lo) / np.where(span == 0.0, 1.0, span), 0.0, 1.0))
+            out = min_max_apply_matrix(x, s)
+            assert not np.shares_memory(out, x)
+            np.testing.assert_array_equal(out.view(np.int64), where.view(np.int64))
+
     def test_roundtrip_recovers_originals(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from iec import ann, hddt
 from iec.ann import TrainConfig
-from iec.data import CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, synth_generate
-from iec.ensemble import (IecModel, augment, expand_features, fit, model_from_dict,
-                          model_to_dict, predict, run_benchmark)
+from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, min_max_apply_matrix,
+                      min_max_fit_matrix, synth_generate)
+from iec.ensemble import (IecModel, fit, model_from_dict, model_to_dict, network_input,
+                          predict, run_benchmark)
 from iec.hddt import Leaf
 
 
@@ -26,12 +28,61 @@ def separable_dataset(n=24, seed=0):
     return continuous_dataset(rows, labels)
 
 
+def mixed_dataset(n, seed, spread=1.0):
+    """Three continuous columns (the first informative), a constant column and
+    two categoricals of 4 and 30 levels binned from a noisy copy of the
+    informative column.  ``spread`` widens the continuous columns and moves
+    the constant one, so rows fall outside a range fitted at spread 1."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.uniform(size=n) < 0.2).astype(int)
+    x = rng.normal(size=(n, 3))
+    x[:, 0] += 1.5 * labels
+    noisy = x[:, 0] + rng.normal(size=n)
+    rows = np.column_stack([x * spread, np.full(n, 2.0 * spread),
+                            np.clip(np.floor(noisy + 2.0), 0, 3),
+                            np.clip(np.floor((noisy + 3.0) * 5.0), 0, 29)])
+    specs = (tuple(FeatureSpec(f"x{j}", CONTINUOUS) for j in range(4))
+             + (FeatureSpec("c4", CATEGORICAL, tuple("abcd")),
+                FeatureSpec("c30", CATEGORICAL, tuple(f"k{i}" for i in range(30)))))
+    return Dataset(specs, rows, labels)
+
+
+def hstack_input(rows, specs, selected, op=None):
+    """Reference: the input matrix as one-hot blocks joined by ``np.hstack``,
+    then a second ``np.hstack`` for the OP column."""
+    blocks = []
+    for j in selected:
+        col = rows[:, j]
+        if specs[j].kind == CATEGORICAL:
+            onehot = np.zeros((rows.shape[0], len(specs[j].categories)))
+            onehot[np.arange(rows.shape[0]), col.astype(np.int64)] = 1.0
+            blocks.append(onehot)
+        else:
+            blocks.append(col[:, np.newaxis])
+    expanded = np.hstack(blocks)
+    if op is None:
+        return expanded
+    return np.hstack([expanded, op.astype(np.float64)[:, np.newaxis]])
+
+
+def where_scale(x, s):
+    """Reference: min-max scaling as one nested ``np.where`` expression."""
+    lo, span = np.array(s.mins), np.array(s.maxs) - np.array(s.mins)
+    constant = span == 0.0
+    return np.where(constant, 0.5, np.clip((x - lo) / np.where(constant, 1.0, span), 0.0, 1.0))
+
+
+def op_input(rows, tree, selected):
+    """The IEC network input: the selected features plus the tree's OP column."""
+    return network_input(rows, tree.specs, selected, hddt.predict(tree, rows))
+
+
 class TestAugment:
     def test_width_two_continuous(self):
         d = separable_dataset()
         tree = hddt.grow_tree(d)
-        matrix = augment(d.rows, tree, [0, 1])
-        assert matrix.shape == (d.n, 3)
+        assert op_input(d.rows, tree, [0, 1]).shape == (d.n, 3)
+        assert network_input(d.rows, d.specs, [0, 1]).shape == (d.n, 2)
 
     def test_width_with_categorical(self):
         specs = (FeatureSpec("c", CATEGORICAL, ("a", "b", "z")),
@@ -39,34 +90,65 @@ class TestAugment:
         rows = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 7.0], [0.0, 8.0]])
         d = Dataset(specs, rows, np.array([1, 1, 0, 0]))
         tree = hddt.grow_tree(d)
-        matrix = augment(d.rows, tree, [0, 1])
+        matrix = op_input(d.rows, tree, [0, 1])
         assert matrix.shape == (4, 3 + 1 + 1)
         # one-hot block reproduces the category indices
         np.testing.assert_array_equal(matrix[:, :3].argmax(axis=1), rows[:, 0])
         np.testing.assert_array_equal(matrix[:, :3].sum(axis=1), np.ones(4))
+        np.testing.assert_array_equal(matrix[:, 3], rows[:, 1])
+        # without OP, column order follows the selection
+        swapped = network_input(d.rows, specs, [1, 0])
+        np.testing.assert_array_equal(swapped, matrix[:, [3, 0, 1, 2]])
 
     def test_op_column_is_tree_prediction(self):
         d = separable_dataset()
         tree = hddt.grow_tree(d)
-        matrix = augment(d.rows, tree, [0])
+        matrix = op_input(d.rows, tree, [0])
         np.testing.assert_array_equal(matrix[:, -1], hddt.predict(tree, d.rows))
 
     def test_empty_selection_rejected(self):
         d = separable_dataset()
         tree = hddt.grow_tree(d)
         with pytest.raises(ValueError, match="selection"):
-            augment(d.rows, tree, [])
+            op_input(d.rows, tree, [])
+        with pytest.raises(ValueError, match="selection"):
+            network_input(d.rows, d.specs, [])
 
     def test_schema_mismatch(self):
         d = separable_dataset()
-        tree = hddt.grow_tree(d)
-        with pytest.raises(ValueError):
-            augment(np.zeros((2, 5)), tree, [0])
+        with pytest.raises(ValueError, match="n x 2"):
+            network_input(np.zeros((2, 5)), d.specs, [0], op=np.zeros(2))
+        with pytest.raises(ValueError, match="n x 2"):
+            network_input(np.zeros(2), d.specs, [0])
 
     def test_expand_rejects_invalid_category(self):
         specs = (FeatureSpec("c", CATEGORICAL, ("a", "b")),)
-        with pytest.raises(ValueError, match="category"):
-            expand_features(np.array([[3.0]]), specs, [0])
+        for value in (3.0, -1.0, 0.5):
+            with pytest.raises(ValueError, match="category index in feature 'c'"):
+                network_input(np.array([[value]]), specs, [0])
+
+    @pytest.mark.parametrize("with_op", [True, False], ids=["iec", "ann-baseline"])
+    def test_scaled_input_matches_hstack_path_bit_for_bit(self, with_op):
+        train = mixed_dataset(600, seed=3)
+        test = mixed_dataset(400, seed=4, spread=3.0)
+        if with_op:
+            tree = hddt.grow_tree(train)
+            selected = hddt.select_features(tree) + [3]  # 3 is the constant column
+            ops = [hddt.predict(tree, d.rows) for d in (train, test)]
+        else:
+            selected, ops = list(range(train.p)), [None, None]
+        pairs = list(zip((train, test), ops))
+        built = [network_input(d.rows, d.specs, selected, op) for d, op in pairs]
+        stacked = [hstack_input(d.rows, d.specs, selected, op) for d, op in pairs]
+        scaling = min_max_fit_matrix(built[0])
+        assert scaling == min_max_fit_matrix(stacked[0])
+        assert 0.0 in np.subtract(scaling.maxs, scaling.mins)
+        assert (built[1] < scaling.mins).any() and (built[1] > scaling.maxs).any()
+        for new, old in zip(built, stacked):
+            assert new.shape == old.shape
+            np.testing.assert_array_equal(
+                min_max_apply_matrix(new, scaling).view(np.int64),
+                where_scale(old, scaling).view(np.int64))
 
 
 class TestFit:
@@ -99,7 +181,7 @@ class TestFit:
         d = separable_dataset()
         model = fit(d, train_config=TrainConfig(epochs=2000, learning_rate=0.5))
         assert model.selected_features == (0,)
-        matrix = augment(d.rows, model.tree, model.selected_features)
+        matrix = op_input(d.rows, model.tree, model.selected_features)
         np.testing.assert_array_equal(matrix[:, -1], d.labels)
         np.testing.assert_array_equal(predict(model, d.rows), d.labels)
 
@@ -127,6 +209,20 @@ class TestFit:
 
 
 class TestPredict:
+    def test_peak_memory_is_a_few_matrices(self):
+        # The input matrix is written once and scaled into one fresh matrix;
+        # hstacked blocks and a nested np.where scaling cost about 3x.
+        model = fit(mixed_dataset(2000, seed=1), train_config=TrainConfig(epochs=5))
+        rows = mixed_dataset(5000, seed=2).rows
+        tracemalloc.start()
+        try:
+            predict(model, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.d_m > 20  # both categoricals are expanded
+        assert peak <= 2.5 * rows.shape[0] * model.d_m * 8
+
     def test_refit_predictions_are_stable(self):
         d = synth_generate(150, 3, 2, 0.3, seed=9)
         model = fit(d, train_config=TrainConfig(epochs=50))
