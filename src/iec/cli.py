@@ -122,26 +122,20 @@ def _build_parser():
 def _validate(args, parser):
     """Reject bad flags before any file is read (exit 2).
 
-    The tree and training configs are built here, once; their own checks
-    cover the tree and training flags.
+    The synthetic dataset and the tree and training configs are built here,
+    once; their own checks cover those flags.
     """
     cmd = args.command
-    if cmd == "synth":
-        if args.n < 10:
-            parser.error("--n must be >= 10")
-        if not 0.0 < args.minority < 0.5:
-            parser.error("--minority must be in (0, 0.5)")
-        if args.informative < 1:
-            parser.error("--informative must be >= 1")
-        if args.noise < 0:
-            parser.error("--noise must be >= 0")
-    if cmd in ("train", "benchmark"):
-        try:
+    try:
+        if cmd == "synth":
+            args.dataset = synth_generate(args.n, args.informative, args.noise,
+                                          args.minority, args.seed, args.separation)
+        if cmd in ("train", "benchmark"):
             args.tree_config = TreeConfig(min_leaf=args.min_leaf, max_depth=args.max_depth)
             args.train_config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                                             seed=args.seed, init_scale=args.init_scale)
-        except ValueError as exc:
-            parser.error(str(exc))
+    except ValueError as exc:
+        parser.error(str(exc))
     if cmd == "benchmark":
         if args.repetitions < 1:
             parser.error("--repetitions must be >= 1")
@@ -157,14 +151,12 @@ def _load_dataset(args, specs=None) -> Dataset:
 
 
 def cmd_synth(args) -> int:
-    dataset = synth_generate(args.n, args.informative, args.noise,
-                             args.minority, args.seed, args.separation)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([s.name for s in dataset.specs] + ["class"])
-        for row, label in zip(dataset.rows, dataset.labels):
+        writer.writerow([s.name for s in args.dataset.specs] + ["class"])
+        for row, label in zip(args.dataset.rows, args.dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-    print(f"wrote {dataset.n} rows x {dataset.p} features to {args.out}")
+    print(f"wrote {args.dataset.n} rows x {args.dataset.p} features to {args.out}")
     return 0
 
 

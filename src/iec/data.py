@@ -241,9 +241,15 @@ def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if len(s.mins) != x.shape[1]:
         raise ValueError(f"scaling params cover {len(s.mins)} columns, matrix has {x.shape[1]}")
-    lo, span = np.array(s.mins), np.array(s.maxs) - np.array(s.mins)
+    lo, hi = np.array(s.mins), np.array(s.maxs)
+    # A column spanning more than the float64 maximum is scaled in halves, so
+    # no difference overflows; halving is exact, and other columns take * 1.0.
+    with np.errstate(over="ignore"):
+        half = np.where(np.isinf(hi - lo), 0.5, 1.0)
+    lo, span = lo * half, hi * half - lo * half
     constant = span == 0.0
-    out = x - lo
+    out = x * half
+    out -= lo
     out /= np.where(constant, 1.0, span)
     np.clip(out, 0.0, 1.0, out=out)
     out[:, constant] = 0.5

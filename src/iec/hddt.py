@@ -201,18 +201,12 @@ def grow_tree(train: Dataset, config: TreeConfig | None = None) -> HddtModel:
     config = config or TreeConfig()
     importances = np.zeros(train.p, dtype=np.float64)
 
-    # Explicit-stack pre-order, the visiting order of a recursive build, so
-    # importances sum in the same order: a split's row groups go on the stack
-    # reversed, above a placeholder assembled once its children are built.
-    built: list[TreeNode] = []
-    stack: list = [(np.arange(train.n), 0)]
+    # Explicit-stack pre-order (a recursive build's visiting order, so importances
+    # sum in the same order): a split's row groups go on the stack reversed.
+    preorder: list = []
+    stack = [(np.arange(train.n), 0)]
     while stack:
-        item = stack.pop()
-        if isinstance(item, Internal):
-            first = len(built) - len(item.children)
-            built[first:] = [Internal(item.split, tuple(built[first:]), item.n_pos, item.n_neg)]
-            continue
-        row_idx, depth = item
+        row_idx, depth = stack.pop()
         labels = train.labels[row_idx]
         n_pos = int(labels.sum())
         n_neg = int(labels.size - n_pos)
@@ -221,15 +215,35 @@ def grow_tree(train: Dataset, config: TreeConfig | None = None) -> HddtModel:
                 and (config.max_depth is None or depth < config.max_depth)):
             cand = _best_candidate(train.rows[row_idx], labels, train.specs)
         if cand is None or cand.hd_score <= 0.0:
-            built.append(Leaf(1 if n_pos >= n_neg else 0, n_pos, n_neg))
+            preorder.append(Leaf(1 if n_pos >= n_neg else 0, n_pos, n_neg))
             continue
         importances[cand.feature_index] += (labels.size / train.n) * cand.hd_score
         branch = _branch(cand, train.rows[row_idx, cand.feature_index], unlisted=-1)
-        groups = range(2 if cand.kind == NUMERIC else len(cand.categories))
-        stack.append(Internal(cand, groups, n_pos, n_neg))
-        stack.extend((row_idx[branch == i], depth + 1) for i in reversed(groups))
+        preorder.append((cand, n_pos, n_neg))
+        stack.extend((row_idx[branch == i], depth + 1) for i in reversed(range(_arity(cand))))
 
-    return HddtModel(built[0], importances, train.specs)
+    return HddtModel(_nest(preorder), importances, train.specs)
+
+
+def _arity(split: SplitCandidate) -> int:
+    return 2 if split.kind == NUMERIC else len(split.categories)
+
+
+def _nest(preorder: list) -> TreeNode:
+    """The nested tree of a pre-order list of leaves and ``(split, n_pos, n_neg)`` entries;
+    read backwards, each split finds its subtrees built, its first child on top."""
+    built: list[TreeNode] = []
+    for node in reversed(preorder):
+        if not isinstance(node, Leaf):
+            split, n_pos, n_neg = node
+            k = _arity(split)
+            if len(built) < k:
+                raise ValueError(f"nodes end inside a {split.kind} split of {k} children")
+            node = Internal(split, tuple(built.pop() for _ in range(k)), n_pos, n_neg)
+        built.append(node)
+    if len(built) != 1:
+        raise ValueError(f"nodes hold {len(built)} trees, expected one")
+    return built[0]
 
 
 def _branch(split: SplitCandidate, values: np.ndarray, unlisted: int) -> np.ndarray:
@@ -243,8 +257,11 @@ def _branch(split: SplitCandidate, values: np.ndarray, unlisted: int) -> np.ndar
         return (~(values <= split.threshold)).astype(np.intp)
     if not np.isfinite(values).all():
         raise ValueError(f"non-finite value in categorical feature {split.feature_index}")
-    child = {c: i for i, c in enumerate(split.categories)}
-    return np.array([child.get(int(v), unlisted) for v in values.tolist()], dtype=np.intp)
+    # Code -> child, with a last slot (index -1) for unlisted codes.  Clipping
+    # keeps astype from overflowing; it truncates as int() does (-0.9 -> 0).
+    table = np.full(max(split.categories) + 2, unlisted, dtype=np.intp)
+    table[list(split.categories)] = np.arange(len(split.categories))
+    return table[np.clip(values, -1, len(table) - 1).astype(np.intp)]
 
 
 def predict(model: HddtModel, rows: np.ndarray) -> np.ndarray:
@@ -275,6 +292,15 @@ def select_features(model: HddtModel) -> list[int]:
     return [j for _, j in ranked]
 
 
+def _preorder(root, children) -> list:
+    """The nodes of a nested tree in pre-order; ``children(node)`` lists a node's children."""
+    out, stack = [], [root]
+    while stack:
+        out.append(stack.pop())
+        stack.extend(reversed(children(out[-1])))
+    return out
+
+
 def _node_to_dict(node: TreeNode) -> dict:
     if isinstance(node, Leaf):
         return {"kind": "leaf", "label": node.label,
@@ -286,12 +312,11 @@ def _node_to_dict(node: TreeNode) -> dict:
         d["threshold"] = split.threshold
     else:
         d["categories"] = list(split.categories)
-    d["children"] = [_node_to_dict(c) for c in node.children]
     return d
 
 
-def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> TreeNode:
-    """Rebuild a node, rejecting one that ``predict`` could not route, naming the field."""
+def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
+    """One ``_nest`` entry, rejecting a node that ``predict`` could not route, naming the field."""
     if d["kind"] == "leaf":
         if d["label"] not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {d['label']!r}")
@@ -313,27 +338,26 @@ def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> TreeNode:
                 or not all(0 <= c < len(spec.categories) for c in categories)):
             raise ValueError(f"categories {list(categories)} must be at least two distinct "
                              f"codes in 0 .. {len(spec.categories) - 1} of {spec.name!r}")
-    arity = len(categories) if categories else 2
-    if len(d["children"]) != arity:
-        raise ValueError(f"children has {len(d['children'])} nodes, a {kind} split here "
-                         f"needs {arity}")
-    children = tuple(_node_from_dict(c, specs) for c in d["children"])
     split = SplitCandidate(j, kind, float(d["hd_score"]), threshold, categories)
-    return Internal(split, children, int(d["n_pos"]), int(d["n_neg"]))
+    return split, int(d["n_pos"]), int(d["n_neg"])
 
 
 def model_to_dict(model: HddtModel) -> dict:
+    nodes = _preorder(model.root, lambda node: getattr(node, "children", ()))
     return {
-        "format_version": 1,
+        "format_version": 2,
         "specs": specs_to_dicts(model.specs),
         "importances": [float(v) for v in model.importances],
-        "root": _node_to_dict(model.root),
+        "nodes": [_node_to_dict(node) for node in nodes],
     }
 
 
 def model_from_dict(d: dict) -> HddtModel:
-    if d.get("format_version") != 1:
+    """Rebuild a tree from version 2's pre-order ``nodes`` or version 1's nested ``root``."""
+    if d.get("format_version") not in (1, 2):
         raise ValueError(f"unsupported tree format version {d.get('format_version')!r}")
+    nodes = (d["nodes"] if d["format_version"] == 2
+             else _preorder(d["root"], lambda node: node.get("children", [])))
     specs = specs_from_dicts(d["specs"])
-    return HddtModel(_node_from_dict(d["root"], specs),
+    return HddtModel(_nest([_node_from_dict(node, specs) for node in nodes]),
                      np.array(d["importances"], dtype=np.float64), specs)

@@ -1,12 +1,20 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from iec import ensemble
 from iec.ann import hidden_neuron_count
 from iec.cli import main
+from iec.data import load_csv
 from iec.metrics import METRIC_NAMES
+
+# A model file with a format_version 1 (nested) tree, as `iec train` wrote it
+# before the flat node list, and its training CSV (color is categorical).
+V1_MODEL = Path(__file__).parent / "data" / "v1_model.json"
+V1_DATA = Path(__file__).parent / "data" / "v1_model.csv"
 
 
 def run(capsys, argv):
@@ -141,17 +149,34 @@ class TestTrain:
                                   "--out", str(tmp_path / "m.json")])
         assert code == 1
 
-    def test_failed_save_keeps_previous_model(self, tmp_path, capsys):
-        # Alternating labels over 0..799 grow a tree too deep for the nested
-        # model JSON, so saving fails after training.
+    def test_failed_save_keeps_previous_model(self, tmp_path, capsys, monkeypatch):
+        def fail(model):
+            raise ValueError("model document cannot be built")
+
+        monkeypatch.setattr(ensemble, "model_to_dict", fail)
+        data = write_separable_csv(tmp_path / "d.csv")
+        model_path = tmp_path / "m.json"
+        model_path.write_bytes(b"previous model\n")
+        code, _, err = run(capsys, ["train", "--data", data, "--epochs", "1",
+                                    "--out", str(model_path)])
+        assert code == 1
+        assert "model document cannot be built" in err
+        assert model_path.read_bytes() == b"previous model\n"
+
+    def test_deep_tree_saves_and_evaluates(self, tmp_path, capsys):
+        # Alternating labels over 0..799 grow a chain of 799 splits, deeper
+        # than a nested JSON document can be written or read.
         data = write_rows(tmp_path / "deep.csv", ["x", "class"],
                           [[str(i), str(i % 2)] for i in range(800)])
         model_path = tmp_path / "m.json"
-        model_path.write_bytes(b"previous model\n")
         code, _, _ = run(capsys, ["train", "--data", data, "--epochs", "1",
                                   "--out", str(model_path)])
-        assert code == 1
-        assert model_path.read_bytes() == b"previous model\n"
+        assert code == 0
+        tree = json.loads(model_path.read_text())["tree"]
+        assert tree["format_version"] == 2 and len(tree["nodes"]) == 1599
+        assert not any("children" in node for node in tree["nodes"])
+        code, _, _ = run(capsys, ["evaluate", "--model", str(model_path), "--data", data])
+        assert code == 0
 
     def test_categorical_column_flag(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -302,21 +327,23 @@ class TestEvaluate:
         assert f"error: {field} " in err and "absent.csv" not in err
 
     # The numeric model's root splits x (continuous); the categorical model's
-    # root splits color into its two categories.  Both roots have leaf children.
+    # root splits color into its two categories.  Both roots have leaf
+    # children, so the pre-order nodes are the root and its two leaves.
     @pytest.mark.parametrize("field, categorical, tamper", [
-        ("feature_index", False, lambda root: root.update(feature_index=99)),
-        ("feature_index", False, lambda root: root.update(feature_index=-1)),
-        ("split_kind", False, lambda root: root.update(split_kind="categorical",
-                                                       categories=[0, 1])),
-        ("split_kind", True, lambda root: root.update(split_kind="numeric", threshold=0.5)),
-        ("children", False, lambda root: root["children"].pop()),
-        ("children", True, lambda root: root["children"].append(root["children"][0])),
-        ("categories", True, lambda root: root.update(categories=[0, 0])),
-        ("categories", True, lambda root: root.update(categories=[0, 2])),
-        ("threshold", False, lambda root: root.update(threshold=float("nan"))),
-        ("threshold", False, lambda root: root.update(threshold=float("inf"))),
-        ("label", False, lambda root: root["children"][0].update(label=7)),
-        ("label", True, lambda root: root["children"][1].update(label=-1)),
+        ("feature_index", False, lambda nodes: nodes[0].update(feature_index=99)),
+        ("feature_index", False, lambda nodes: nodes[0].update(feature_index=-1)),
+        ("split_kind", False, lambda nodes: nodes[0].update(split_kind="categorical",
+                                                           categories=[0, 1])),
+        ("split_kind", True, lambda nodes: nodes[0].update(split_kind="numeric",
+                                                          threshold=0.5)),
+        ("nodes", False, lambda nodes: nodes.pop()),
+        ("nodes", True, lambda nodes: nodes.insert(1, dict(nodes[1]))),
+        ("categories", True, lambda nodes: nodes[0].update(categories=[0, 0])),
+        ("categories", True, lambda nodes: nodes[0].update(categories=[0, 2])),
+        ("threshold", False, lambda nodes: nodes[0].update(threshold=float("nan"))),
+        ("threshold", False, lambda nodes: nodes[0].update(threshold=float("inf"))),
+        ("label", False, lambda nodes: nodes[1].update(label=7)),
+        ("label", True, lambda nodes: nodes[2].update(label=-1)),
     ], ids=["feature-past-specs", "negative-feature", "categorical-on-continuous",
             "numeric-on-categorical", "one-numeric-child", "extra-categorical-child",
             "repeated-category", "unknown-category", "nan-threshold", "inf-threshold",
@@ -333,7 +360,44 @@ class TestEvaluate:
                                   "--epochs", "10", *extra])
         assert code == 0
         doc = json.loads(model_path.read_text())
+        tamper(doc["tree"]["nodes"])
+        model_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["evaluate", "--model", str(model_path),
+                                    "--data", str(tmp_path / "absent.csv")])
+        assert code == 1
+        assert f"error: {field} " in err and "absent.csv" not in err
+
+    def test_v1_model_reads_as_its_v2_rewrite(self, tmp_path, capsys):
+        doc = json.loads(V1_MODEL.read_text())
+        assert doc["tree"]["format_version"] == 1
+        v1 = ensemble.model_from_dict(doc)
+        rewrite = json.loads(json.dumps(ensemble.model_to_dict(v1)))
+        assert rewrite["tree"]["format_version"] == 2
+        v2 = ensemble.model_from_dict(rewrite)
+        assert v2.tree.root == v1.tree.root
+        rows = load_csv(V1_DATA, "class", "1", specs=v1.tree.specs).rows
+        np.testing.assert_array_equal(ensemble.predict(v2, rows), ensemble.predict(v1, rows))
+
+        v2_path = tmp_path / "v2.json"
+        v2_path.write_text(json.dumps(rewrite))
+        outs = [run(capsys, ["evaluate", "--model", str(path), "--data", str(V1_DATA),
+                             "--format", "json"]) for path in (V1_MODEL, v2_path)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    # The v1 fixture's root splits x, its children are a leaf and a
+    # three-way split on color.
+    @pytest.mark.parametrize("field, tamper", [
+        ("nodes", lambda root: root["children"].pop()),
+        ("nodes", lambda root: root["children"].append(root["children"][0])),
+        ("feature_index", lambda root: root.update(feature_index=99)),
+        ("categories", lambda root: root["children"][1].update(categories=[0, 0, 1])),
+        ("label", lambda root: root["children"][0].update(label=7)),
+    ], ids=["dropped-child", "extra-child", "feature-past-specs", "repeated-category",
+            "leaf-label-7"])
+    def test_malformed_v1_tree_rejected_at_load(self, tmp_path, capsys, field, tamper):
+        doc = json.loads(V1_MODEL.read_text())
         tamper(doc["tree"]["root"])
+        model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(doc))
         code, _, err = run(capsys, ["evaluate", "--model", str(model_path),
                                     "--data", str(tmp_path / "absent.csv")])

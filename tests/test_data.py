@@ -224,6 +224,17 @@ class TestMinMax:
             assert not np.shares_memory(out, x)
             np.testing.assert_array_equal(out.view(np.int64), where.view(np.int64))
 
+    def test_column_wider_than_float_max(self):
+        # max - min overflows to inf: the column is scaled without it, and the
+        # ordinary column beside it keeps the plain affine map.
+        x = np.array([[-1.7e308, 2.0], [0.0, 4.0], [1.7e308, 10.0]])
+        s = min_max_fit_matrix(x)
+        out = min_max_apply_matrix(x, s)
+        np.testing.assert_array_equal(out[:, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(out[:, 1], (x[:, 1] - 2.0) / 8.0)
+        unseen = min_max_apply_matrix(np.array([[-1.79e308, 0.0], [1.79e308, 12.0]]), s)
+        np.testing.assert_array_equal(unseen, [[0.0, 0.0], [1.0, 1.0]])
+
     def test_roundtrip_recovers_originals(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

@@ -185,6 +185,15 @@ class TestFit:
         np.testing.assert_array_equal(matrix[:, -1], d.labels)
         np.testing.assert_array_equal(predict(model, d.rows), d.labels)
 
+    def test_column_wider_than_float_max(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=300) * 1e300
+        x[:2] = -1.7e308, 1.7e308
+        d = continuous_dataset(x[:, np.newaxis], (x > 0).astype(int))
+        model = fit(d, train_config=TrainConfig(epochs=20))
+        assert model.selected_features == (0,)
+        assert set(predict(model, d.rows)) <= {0, 1}
+
     def test_single_class_rejected(self):
         d = continuous_dataset([[1.0], [2.0]], [1, 1])
         with pytest.raises(ValueError, match="both classes"):

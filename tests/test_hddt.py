@@ -1,9 +1,12 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iec
 from iec.data import CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec
 from iec.hddt import (NUMERIC, Internal, Leaf, TreeConfig, best_split_categorical,
                       best_split_numeric, grow_tree, hellinger_split_score,
@@ -228,6 +231,20 @@ class TestGrowTree:
         model = grow_tree(d)
         np.testing.assert_array_equal(predict(model, d.rows), labels)
 
+    def test_no_function_in_the_package_calls_itself(self):
+        # Recursion would tie the depth of a tree that can be grown, saved or
+        # loaded to Python's recursion limit.
+        for path in Path(iec.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for call in ast.walk(fn):
+                    f = getattr(call, "func", None)
+                    method = (isinstance(f, ast.Attribute)
+                              and getattr(f.value, "id", None) in ("self", "cls"))
+                    name = f.id if isinstance(f, ast.Name) else f.attr if method else None
+                    assert name != fn.name, f"{path.name}: {fn.name} calls itself"
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             continuous_dataset(np.zeros((0, 1)), [])
@@ -279,6 +296,9 @@ class TestPredict:
                                        rng.normal(2, 2, size=300), rng.uniform(0, 3, size=300)])
             queries[rng.uniform(size=300) < 0.2, 0] = np.nan
             queries[rng.uniform(size=300) < 0.2, 2] = np.nan
+            # Category codes that truncate, fall off either end or overflow an intp.
+            edges = [-0.9, -1.0, 2.5, 1e300, -1e300]
+            queries[:len(edges), 1] = queries[-len(edges):, 3] = edges
             expected = [reference_walk(model, q, seen) for q in queries]
             np.testing.assert_array_equal(predict(model, queries), expected)
         assert seen["nan"] > 0 and seen["unlisted"] > 0
