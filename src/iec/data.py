@@ -249,8 +249,11 @@ def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
     lo, span = lo * half, hi * half - lo * half
     constant = span == 0.0
     out = x * half
-    out -= lo
-    out /= np.where(constant, 1.0, span)
+    # A value far outside the fitted range may overflow to +-inf here; the
+    # clip maps it to 0 or 1 as it does any other out-of-range value.
+    with np.errstate(over="ignore"):
+        out -= lo
+        out /= np.where(constant, 1.0, span)
     np.clip(out, 0.0, 1.0, out=out)
     out[:, constant] = 0.5
     return out

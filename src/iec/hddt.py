@@ -105,9 +105,9 @@ def hellinger_split_score(partition_counts) -> float:
 def best_split_numeric(values, labels, feature_index: int = 0) -> SplitCandidate | None:
     """Highest-scoring binary threshold for one continuous feature.
 
-    Candidate thresholds are the midpoints between adjacent distinct sorted
-    values; ties in score go to the lowest threshold.  Returns None when all
-    values are identical.
+    Candidate thresholds lie between adjacent distinct sorted values (their
+    midpoint where it falls strictly below the upper one); ties in score go to
+    the lowest threshold.  Returns None when all values are identical.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
@@ -115,36 +115,87 @@ def best_split_numeric(values, labels, feature_index: int = 0) -> SplitCandidate
         raise ValueError("values and labels must be equal-length vectors")
     if values.size < 2:
         raise ValueError("need at least two rows to split")
+    scores, bounds = _numeric_splits(values[:, np.newaxis], [0], labels)
+    return _numeric_candidate(feature_index, scores[0], bounds[0])
 
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sl = labels[order].astype(np.int64)
-    boundaries = np.flatnonzero(sv[1:] != sv[:-1])
-    if boundaries.size == 0:
+
+# Rows x columns that _numeric_splits scores in one pass (at least one
+# column).  It caps each of the pass's half-dozen temporaries at 512 KB on
+# nodes of up to 65,536 rows, instead of growing with the node's width.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _numeric_splits(rows: np.ndarray, columns: list[int],
+                    labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best threshold boundary of each of ``rows``' listed columns.
+
+    Returns each column's Hellinger score (-inf for a constant column) and
+    the two sorted values either side of its boundary, as q and q x 2 arrays;
+    the first maximum wins, so ties go to the lowest threshold.  Columns are
+    scored in blocks of at most BLOCK_ELEMENTS cells, each block in one pass.
+    """
+    m, q = rows.shape[0], len(columns)
+    scores, bounds = np.full(q, -np.inf), np.zeros((q, 2))
+    y = labels.astype(np.float64)
+    total_pos = float(y.sum())
+    total_neg = m - total_pos
+    left_n = np.arange(1.0, m)[:, np.newaxis]
+    width = max(1, min(q, BLOCK_ELEMENTS // m))
+    buffers = np.empty((2, m - 1, width))
+    for first in range(0, q, width):
+        block = rows[:, columns[first:first + width]]
+        k = block.shape[1]
+        order = np.argsort(block, axis=0, kind="stable")
+        sv = np.take_along_axis(block, order, axis=0)
+        same = sv[1:] == sv[:-1]
+        if same.all():
+            continue
+        if total_pos < 1 or total_neg < 1:
+            raise ValueError("both classes must be present at the node being split")
+        # Counts of the first i + 1 sorted rows, exact as float64 below 2**53.
+        left_pos = y[order[:-1]]
+        np.cumsum(left_pos, axis=0, out=left_pos)
+        # Same expression and evaluation order as hellinger_split_score on the
+        # two-partition case, one term per buffer.
+        s, t = buffers[0, :, :k], buffers[1, :, :k]
+        np.divide(left_pos, total_pos, out=s)
+        np.sqrt(s, out=s)
+        np.subtract(left_n, left_pos, out=t)
+        t /= total_neg
+        np.sqrt(t, out=t)
+        s -= t
+        np.square(s, out=s)
+        np.subtract(total_pos, left_pos, out=t)
+        t /= total_pos
+        np.sqrt(t, out=t)
+        left_pos -= left_n  # right_neg = total_neg - (left_n - left_pos)
+        left_pos += total_neg
+        left_pos /= total_neg
+        np.sqrt(left_pos, out=left_pos)
+        t -= left_pos
+        np.square(t, out=t)
+        s += t
+        np.sqrt(s, out=s)
+        s[same] = -np.inf
+        best = np.argmax(s, axis=0)
+        cols = np.arange(k)
+        scores[first:first + k] = s[best, cols]
+        bounds[first:first + k, 0] = sv[best, cols]
+        bounds[first:first + k, 1] = sv[best + 1, cols]
+    return scores, bounds
+
+
+def _numeric_candidate(feature_index: int, score: float, bounds) -> SplitCandidate | None:
+    """The split at one column's best boundary, or None for a constant column."""
+    if score == -np.inf:
         return None
-
-    total_pos = int(sl.sum())
-    total_neg = int(sl.size - total_pos)
-    if total_pos < 1 or total_neg < 1:
-        raise ValueError("both classes must be present at the node being split")
-
-    cum_pos = np.cumsum(sl)
-    left_pos = cum_pos[boundaries]
-    left_n = boundaries + 1
-    left_neg = left_n - left_pos
-    right_pos = total_pos - left_pos
-    right_neg = total_neg - left_neg
-
-    # Same expression and evaluation order as hellinger_split_score on the
-    # two-partition case, vectorized over all candidate boundaries.
-    scores = np.sqrt(
-        (np.sqrt(left_pos / total_pos) - np.sqrt(left_neg / total_neg)) ** 2
-        + (np.sqrt(right_pos / total_pos) - np.sqrt(right_neg / total_neg)) ** 2
-    )
-    best = int(np.argmax(scores))
-    i = boundaries[best]
-    threshold = float((sv[i] + sv[i + 1]) / 2.0)
-    return SplitCandidate(feature_index, NUMERIC, float(scores[best]), threshold=threshold)
+    # Both children must get rows, so the threshold t needs a <= t < b: the
+    # midpoint, unless it overflows or rounds up to b (adjacent doubles).
+    a, b = float(bounds[0]), float(bounds[1])
+    for t in ((a + b) / 2.0, a / 2.0 + b / 2.0, a):
+        if a <= t < b:
+            break
+    return SplitCandidate(feature_index, NUMERIC, float(score), threshold=t)
 
 
 def best_split_categorical(values, labels, category_count: int,
@@ -177,13 +228,21 @@ def best_split_categorical(values, labels, category_count: int,
 def _best_candidate(rows: np.ndarray, labels: np.ndarray,
                     specs: tuple[FeatureSpec, ...]) -> SplitCandidate | None:
     """Globally best split over all features; lower feature index wins ties."""
+    numeric = [j for j, spec in enumerate(specs) if spec.kind == CONTINUOUS]
+    scores, bounds = _numeric_splits(rows, numeric, labels)
+    # Among continuous columns argmax keeps the first maximum, as the loop's
+    # strict > would; only that column can win the loop.
+    top = numeric[int(np.argmax(scores))] if numeric else None
     best = None
     for j, spec in enumerate(specs):
-        if spec.kind == CONTINUOUS:
-            cand = best_split_numeric(rows[:, j], labels, feature_index=j)
-        else:
+        if spec.kind != CONTINUOUS:
             cand = best_split_categorical(rows[:, j], labels, len(spec.categories),
                                           feature_index=j)
+        elif j == top:
+            c = numeric.index(j)
+            cand = _numeric_candidate(j, scores[c], bounds[c])
+        else:
+            continue
         if cand is not None and (best is None or cand.hd_score > best.hd_score):
             best = cand
     return best

@@ -235,6 +235,13 @@ class TestMinMax:
         unseen = min_max_apply_matrix(np.array([[-1.79e308, 0.0], [1.79e308, 12.0]]), s)
         np.testing.assert_array_equal(unseen, [[0.0, 0.0], [1.0, 1.0]])
 
+    def test_unseen_value_beyond_float_max_from_range(self):
+        # x - min overflows (first column) and (x - min) / span overflows
+        # (second); both clamp without a warning, which pytest makes an error.
+        s = min_max_fit_matrix([[1e308, 0.0], [1.5e308, 1e-300]])
+        out = min_max_apply_matrix(np.array([[-1.7e308, 1e10], [1.7e308, -1e10]]), s)
+        np.testing.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
+
     def test_roundtrip_recovers_originals(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

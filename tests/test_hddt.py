@@ -1,19 +1,29 @@
 import ast
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import iec
-from iec.data import CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec
-from iec.hddt import (NUMERIC, Internal, Leaf, TreeConfig, best_split_categorical,
-                      best_split_numeric, grow_tree, hellinger_split_score,
-                      model_from_dict, model_to_dict, predict, select_features)
+from iec import hddt
+from iec.data import CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, synth_generate
+from iec.hddt import (NUMERIC, Internal, Leaf, SplitCandidate, TreeConfig,
+                      best_split_categorical, best_split_numeric, grow_tree,
+                      hellinger_split_score, model_from_dict, model_to_dict, predict,
+                      select_features)
 from oracles import brute_force_numeric, hd_reference, strip_counts
 
 SQRT2 = math.sqrt(2.0)
+
+# Columns whose two top values a < b have a midpoint outside [a, b): it
+# overflows to inf, or it rounds up to b.  Labels [0, 1, 0] split them there.
+MIDPOINT_OUTSIDE_BOUNDARY = pytest.mark.parametrize("values", [
+    [1.6e308, 1.7e308, 0.0],
+    [1.0 + 2.0 ** -52, np.nextafter(1.0 + 2.0 ** -52, 2.0), 0.0],
+], ids=["overflow", "adjacent-doubles"])
 
 
 def continuous_dataset(rows, labels, names=None):
@@ -115,6 +125,12 @@ class TestBestSplitNumeric:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             best_split_numeric([1, 2, 3], [1, 1, 1])
+
+    @MIDPOINT_OUTSIDE_BOUNDARY
+    def test_threshold_lies_below_the_upper_value(self, values):
+        cand = best_split_numeric(values, [0, 1, 0])
+        assert values[0] <= cand.threshold < values[1]
+        assert cand.hd_score == SQRT2
 
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(13)
@@ -231,6 +247,27 @@ class TestGrowTree:
         model = grow_tree(d)
         np.testing.assert_array_equal(predict(model, d.rows), labels)
 
+    @MIDPOINT_OUTSIDE_BOUNDARY
+    def test_split_sends_rows_to_both_children(self, values):
+        # A threshold of inf, or of the upper value itself, sent every row to
+        # child 0 and the same split repeated down to max_depth.
+        d = continuous_dataset(np.array(values)[:, np.newaxis], [0, 1, 0])
+        model = grow_tree(d, TreeConfig(max_depth=6))
+        assert len(model_to_dict(model)["nodes"]) == 3
+        np.testing.assert_array_equal(predict(model, d.rows), d.labels)
+
+    def test_peak_memory_is_a_few_matrices(self):
+        # Columns are scored in blocks of hddt.BLOCK_ELEMENTS cells; scoring
+        # all 16 columns of the 20k-row root at once costs about 13x.
+        d = synth_generate(20_000, 8, 8, 0.2, seed=3)
+        tracemalloc.start()
+        try:
+            grow_tree(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * d.rows.nbytes
+
     def test_no_function_in_the_package_calls_itself(self):
         # Recursion would tie the depth of a tree that can be grown, saved or
         # loaded to Python's recursion limit.
@@ -248,6 +285,101 @@ class TestGrowTree:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             continuous_dataset(np.zeros((0, 1)), [])
+
+
+def per_column_best_candidate(rows, labels, specs):
+    """Reference: one argsort and one score vector per continuous column,
+    compared across features in order with strict >."""
+    best = None
+    for j, spec in enumerate(specs):
+        if spec.kind == CONTINUOUS:
+            cand = per_column_numeric(rows[:, j], labels, j)
+        else:
+            cand = best_split_categorical(rows[:, j], labels, len(spec.categories),
+                                          feature_index=j)
+        if cand is not None and (best is None or cand.hd_score > best.hd_score):
+            best = cand
+    return best
+
+
+def per_column_numeric(values, labels, feature_index):
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    sl = labels[order].astype(np.int64)
+    boundaries = np.flatnonzero(sv[1:] != sv[:-1])
+    if boundaries.size == 0:
+        return None
+    total_pos = int(sl.sum())
+    total_neg = int(sl.size - total_pos)
+    left_pos = np.cumsum(sl)[boundaries]
+    left_neg = boundaries + 1 - left_pos
+    right_pos = total_pos - left_pos
+    right_neg = total_neg - left_neg
+    scores = np.sqrt(
+        (np.sqrt(left_pos / total_pos) - np.sqrt(left_neg / total_neg)) ** 2
+        + (np.sqrt(right_pos / total_pos) - np.sqrt(right_neg / total_neg)) ** 2
+    )
+    best = int(np.argmax(scores))
+    i = boundaries[best]
+    return SplitCandidate(feature_index, NUMERIC, float(scores[best]),
+                          threshold=float((sv[i] + sv[i + 1]) / 2.0))
+
+
+def random_mixed_dataset(rng, n, kinds):
+    """Columns of the given kinds: ``"normal"``, ``"repeated"`` (few distinct
+    values), ``"constant"``, ``"copy"`` (of the column before, so scores
+    tie), ``"cat"`` (four random codes) and ``"binary"`` / ``"catbin"`` (the
+    same two-valued column as continuous / categorical, so scores tie across
+    kinds)."""
+    signal = rng.normal(size=n)
+    labels = (signal + rng.normal(scale=0.8, size=n) > 0.9).astype(int)
+    cols, specs = [], []
+    for j, kind in enumerate(kinds):
+        col = {"normal": lambda: signal * rng.uniform() + rng.normal(size=n),
+               "repeated": lambda: np.round(signal + rng.normal(size=n)),
+               "constant": lambda: np.full(n, 3.0),
+               "copy": lambda: cols[-1],
+               "cat": lambda: rng.integers(0, 4, size=n).astype(float),
+               "binary": lambda: (signal > 0.5).astype(float),
+               "catbin": lambda: (signal > 0.5).astype(float)}[kind]()
+        cols.append(col)
+        specs.append(FeatureSpec(f"f{j}", CATEGORICAL, tuple("abcd")) if kind.startswith("cat")
+                     else FeatureSpec(f"f{j}", CONTINUOUS))
+    return Dataset(tuple(specs), np.column_stack(cols), labels)
+
+
+class TestBlockedSplitSearch:
+    """grow_tree scores a node's continuous columns together in blocks; the
+    tree must equal the one a per-column search grows."""
+
+    @pytest.mark.parametrize("kinds,n", [
+        (["normal", "copy", "repeated", "constant", "cat", "normal", "copy"], 300),
+        (["binary", "catbin", "repeated", "normal"], 300),
+        (["catbin", "binary", "repeated", "normal"], 300),
+        (["normal", "repeated", "constant", "copy"], 400),
+        (["cat", "cat", "catbin"], 300),
+        (["normal", "copy", "repeated", "constant", "normal", "cat"] * 3, 6000),
+    ], ids=["mixed", "tie-continuous-first", "tie-categorical-first", "continuous-only",
+            "categorical-only", "many-blocks"])
+    def test_same_tree_as_per_column_search(self, kinds, n, monkeypatch):
+        if n == 6000:  # the root's continuous columns span two blocks
+            assert n * (len(kinds) - kinds.count("cat")) > hddt.BLOCK_ELEMENTS
+        rng = np.random.default_rng(n + len(kinds))
+        # Small budgets split every node's columns into blocks of one, two or
+        # a few columns, the last one narrower.
+        budgets = (hddt.BLOCK_ELEMENTS, 1, 700) if n < 1000 else (hddt.BLOCK_ELEMENTS,)
+        for _ in range(3 if n < 1000 else 1):
+            d = random_mixed_dataset(rng, n, kinds)
+            with monkeypatch.context() as patch:
+                patch.setattr(hddt, "_best_candidate", per_column_best_candidate)
+                reference = model_to_dict(grow_tree(d, TreeConfig(min_leaf=2)))
+            for budget in budgets:
+                with monkeypatch.context() as patch:
+                    patch.setattr(hddt, "BLOCK_ELEMENTS", budget)
+                    assert model_to_dict(grow_tree(d, TreeConfig(min_leaf=2))) == reference
+            assert len(reference["nodes"]) > 3
+            if kinds[:2] in (["binary", "catbin"], ["catbin", "binary"]):
+                assert reference["nodes"][0]["feature_index"] == 0
 
 
 class TestPredict:
