@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import round_half_away
+from iec.data import require_int, round_half_away
 
 
 def sigmoid(x):
@@ -98,8 +98,8 @@ class TrainConfig:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        require_int("epochs", self.epochs, 1)
+        require_int("seed", self.seed, 0)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be positive and finite")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -25,6 +26,12 @@ def round_half_away(x: float) -> int:
     if x >= 0:
         return int(x + 0.5)
     return -int(-x + 0.5)
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer (not a bool) >= ``minimum``, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

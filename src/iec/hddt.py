@@ -9,6 +9,17 @@ Because only within-class proportions enter, the score ignores class priors:
 replicating the minority class leaves every score (and hence the grown tree)
 unchanged.  Scores live in [0, sqrt(2)], with sqrt(2) reached exactly when no
 partition mixes the classes.
+
+Growth is presorted, after SLIQ and SPRINT: ``grow_tree`` sorts each
+continuous column once, at the root, into a q x n array of row indices.
+Every node carries its own q x m block of that order and scores all its
+continuous columns from it in blocks of at most ``BLOCK_ELEMENTS`` cells.  A
+split marks each row with its child, and a child's block is the parent's
+block with the other children's rows left out.  That keeps it sorted, with
+equal values in row order, exactly as a stable sort of the child's rows
+would, so the tree is the one a per-node sort grows.  Categorical columns
+are keyed once as ``code * 2 + label``, so a node's per-category counts are
+one ``bincount``.
 """
 
 from __future__ import annotations
@@ -18,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import CONTINUOUS, Dataset, FeatureSpec, specs_from_dicts, specs_to_dicts
+from iec.data import (CONTINUOUS, Dataset, FeatureSpec, require_int, specs_from_dicts,
+                      specs_to_dicts)
 
 MAX_SCORE = math.sqrt(2.0)
 
@@ -61,10 +73,9 @@ class TreeConfig:
     max_depth: int | None = None
 
     def __post_init__(self):
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0 (or None for unlimited)")
+        require_int("min_leaf", self.min_leaf, 1)
+        if self.max_depth is not None:
+            require_int("max_depth", self.max_depth, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,49 +126,76 @@ def best_split_numeric(values, labels, feature_index: int = 0) -> SplitCandidate
         raise ValueError("values and labels must be equal-length vectors")
     if values.size < 2:
         raise ValueError("need at least two rows to split")
-    scores, bounds = _numeric_splits(values[:, np.newaxis], [0], labels)
+    column = values[:, np.newaxis]
+    y = labels.astype(np.float64)
+    scores, bounds = _numeric_splits(column, [0], _presort(column, [0]), y, float(y.sum()))
     return _numeric_candidate(feature_index, scores[0], bounds[0])
 
 
-# Rows x columns that _numeric_splits scores in one pass (at least one
-# column).  It caps each of the pass's half-dozen temporaries at 512 KB on
-# nodes of up to 65,536 rows, instead of growing with the node's width.
+# Cells (rows x columns) that _presort sorts, and _numeric_splits scores, in
+# one pass (at least one column).  It caps each of the pass's half-dozen
+# temporaries at 512 KB on nodes of up to 65,536 rows, instead of growing
+# with the node's width.
 BLOCK_ELEMENTS = 1 << 16
 
 
-def _numeric_splits(rows: np.ndarray, columns: list[int],
-                    labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best threshold boundary of each of ``rows``' listed columns.
+def _block_width(m: int, q: int) -> int:
+    """Columns of m rows per pass: as many of the q as fit in BLOCK_ELEMENTS, at least one."""
+    return max(1, min(q, BLOCK_ELEMENTS // m))
 
-    Returns each column's Hellinger score (-inf for a constant column) and
-    the two sorted values either side of its boundary, as q and q x 2 arrays;
-    the first maximum wins, so ties go to the lowest threshold.  Columns are
-    scored in blocks of at most BLOCK_ELEMENTS cells, each block in one pass.
+
+def _presort(rows: np.ndarray, columns: list[int]) -> np.ndarray:
+    """Row indices of ``rows`` sorted by each listed column, as a q x n array.
+
+    The sort is stable, so equal values (-0.0 and 0.0 among them) stay in row
+    order.  Indices are int32 while they fit, half the memory of intp.
     """
-    m, q = rows.shape[0], len(columns)
-    scores, bounds = np.full(q, -np.inf), np.zeros((q, 2))
-    y = labels.astype(np.float64)
-    total_pos = float(y.sum())
-    total_neg = m - total_pos
-    left_n = np.arange(1.0, m)[:, np.newaxis]
-    width = max(1, min(q, BLOCK_ELEMENTS // m))
-    buffers = np.empty((2, m - 1, width))
+    n, q = rows.shape[0], len(columns)
+    order = np.empty((q, n), dtype=np.int32 if n < 2 ** 31 else np.intp)
+    width = _block_width(n, q)
     for first in range(0, q, width):
         block = rows[:, columns[first:first + width]]
-        k = block.shape[1]
-        order = np.argsort(block, axis=0, kind="stable")
-        sv = np.take_along_axis(block, order, axis=0)
-        same = sv[1:] == sv[:-1]
+        order[first:first + block.shape[1]] = np.argsort(block, axis=0, kind="stable").T
+    return order
+
+
+def _numeric_splits(rows: np.ndarray, columns: list[int], order: np.ndarray,
+                    y: np.ndarray, total_pos: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best threshold boundary of each listed column of ``rows`` at one node.
+
+    ``order`` is the node's q x m block of row indices, its row c sorted by
+    column ``columns[c]``; ``y`` holds every row's label as float64 and
+    ``total_pos`` the node's positive count.  Returns each column's Hellinger
+    score (-inf for a constant column) and the two sorted values either side
+    of its boundary, as q and q x 2 arrays; the first maximum wins, so ties go
+    to the lowest threshold.  Columns are scored in blocks of at most
+    BLOCK_ELEMENTS cells, each block in one pass.
+    """
+    q, m = order.shape
+    scores, bounds = np.full(q, -np.inf), np.zeros((q, 2))
+    total_neg = m - total_pos
+    left_n = np.arange(1.0, m)
+    width = _block_width(m, q)
+    buffers = np.empty((2, width, m - 1))
+    columns = np.asarray(columns, dtype=np.intp)[:, np.newaxis]
+    for first in range(0, q, width):
+        block = order[first:first + width]
+        k = block.shape[0]
+        # Flat gathers through np.take run about twice as fast as 2-d fancy indexing.
+        flat = np.multiply(block, rows.shape[1], dtype=np.intp)
+        flat += columns[first:first + k]
+        sv = rows.take(flat)
+        same = sv[:, 1:] == sv[:, :-1]
         if same.all():
             continue
         if total_pos < 1 or total_neg < 1:
             raise ValueError("both classes must be present at the node being split")
         # Counts of the first i + 1 sorted rows, exact as float64 below 2**53.
-        left_pos = y[order[:-1]]
-        np.cumsum(left_pos, axis=0, out=left_pos)
+        left_pos = y.take(block[:, :-1])
+        np.cumsum(left_pos, axis=1, out=left_pos)
         # Same expression and evaluation order as hellinger_split_score on the
         # two-partition case, one term per buffer.
-        s, t = buffers[0, :, :k], buffers[1, :, :k]
+        s, t = buffers[0, :k], buffers[1, :k]
         np.divide(left_pos, total_pos, out=s)
         np.sqrt(s, out=s)
         np.subtract(left_n, left_pos, out=t)
@@ -177,11 +215,11 @@ def _numeric_splits(rows: np.ndarray, columns: list[int],
         s += t
         np.sqrt(s, out=s)
         s[same] = -np.inf
-        best = np.argmax(s, axis=0)
-        cols = np.arange(k)
-        scores[first:first + k] = s[best, cols]
-        bounds[first:first + k, 0] = sv[best, cols]
-        bounds[first:first + k, 1] = sv[best + 1, cols]
+        best = np.argmax(s, axis=1)
+        r = np.arange(k)
+        scores[first:first + k] = s[r, best]
+        bounds[first:first + k, 0] = sv[r, best]
+        bounds[first:first + k, 1] = sv[r, best + 1]
     return scores, bounds
 
 
@@ -213,31 +251,47 @@ def best_split_categorical(values, labels, category_count: int,
     idx = values.astype(np.int64)
     if not ((idx == values) & (idx >= 0) & (idx < category_count)).all():
         raise ValueError("category index out of range")
+    counts = np.bincount(idx * 2 + (labels == 1), minlength=2 * category_count)
+    return _categorical_split(counts, feature_index)
 
-    observed = np.unique(idx)
+
+def _categorical_split(counts: np.ndarray, feature_index: int) -> SplitCandidate | None:
+    """The one-branch-per-observed-category split, from the bincount of
+    ``code * 2 + label``; None when fewer than two categories occur."""
+    neg, pos = counts[0::2], counts[1::2]
+    observed = np.flatnonzero(neg + pos)
     if observed.size < 2:
         return None
-    pos_counts = np.bincount(idx[labels == 1], minlength=category_count)
-    neg_counts = np.bincount(idx[labels == 0], minlength=category_count)
-    partitions = [(pos_counts[c], neg_counts[c]) for c in observed]
-    score = hellinger_split_score(partitions)
-    return SplitCandidate(feature_index, CATEGORICAL_SPLIT, score,
-                          categories=tuple(int(c) for c in observed))
+    pos, neg = pos[observed], neg[observed]
+    total_pos, total_neg = int(pos.sum()), int(neg.sum())
+    if total_pos < 1 or total_neg < 1:
+        raise ValueError("both classes must be present at the node being split")
+    # hellinger_split_score's arithmetic: the same divisions and square roots,
+    # then the squared terms added one by one in category order (np.sum adds
+    # more than eight terms pairwise, which can change the last bit).
+    total = 0.0
+    for d in (np.sqrt(pos / total_pos) - np.sqrt(neg / total_neg)).tolist():
+        total += d ** 2
+    return SplitCandidate(feature_index, CATEGORICAL_SPLIT, math.sqrt(total),
+                          categories=tuple(observed.tolist()))
 
 
-def _best_candidate(rows: np.ndarray, labels: np.ndarray,
-                    specs: tuple[FeatureSpec, ...]) -> SplitCandidate | None:
-    """Globally best split over all features; lower feature index wins ties."""
-    numeric = [j for j, spec in enumerate(specs) if spec.kind == CONTINUOUS]
-    scores, bounds = _numeric_splits(rows, numeric, labels)
+def _best_candidate(train: Dataset, numeric: list[int], order: np.ndarray, y: np.ndarray,
+                    keyed: dict, row_idx: np.ndarray, n_pos: int) -> SplitCandidate | None:
+    """Globally best split of the node holding ``row_idx``; lower feature index wins ties.
+
+    ``order`` is the node's block of presorted row indices for the ``numeric``
+    columns, and ``keyed[j]`` is categorical column j's ``code * 2 + label``.
+    """
+    scores, bounds = _numeric_splits(train.rows, numeric, order, y, float(n_pos))
     # Among continuous columns argmax keeps the first maximum, as the loop's
     # strict > would; only that column can win the loop.
     top = numeric[int(np.argmax(scores))] if numeric else None
     best = None
-    for j, spec in enumerate(specs):
+    for j, spec in enumerate(train.specs):
         if spec.kind != CONTINUOUS:
-            cand = best_split_categorical(rows[:, j], labels, len(spec.categories),
-                                          feature_index=j)
+            counts = np.bincount(keyed[j][row_idx], minlength=2 * len(spec.categories))
+            cand = _categorical_split(counts, j)
         elif j == top:
             c = numeric.index(j)
             cand = _numeric_candidate(j, scores[c], bounds[c])
@@ -259,27 +313,39 @@ def grow_tree(train: Dataset, config: TreeConfig | None = None) -> HddtModel:
     """
     config = config or TreeConfig()
     importances = np.zeros(train.p, dtype=np.float64)
+    numeric = [j for j, spec in enumerate(train.specs) if spec.kind == CONTINUOUS]
+    y = train.labels.astype(np.float64)
+    keyed = {j: train.rows[:, j].astype(np.intp) * 2 + train.labels
+             for j, spec in enumerate(train.specs) if spec.kind != CONTINUOUS}
+    child_of = np.empty(train.n, dtype=np.int32)
 
     # Explicit-stack pre-order (a recursive build's visiting order, so importances
-    # sum in the same order): a split's row groups go on the stack reversed.
+    # sum in the same order): a split's children go on the stack reversed.
     preorder: list = []
-    stack = [(np.arange(train.n), 0)]
+    stack = [(np.arange(train.n), _presort(train.rows, numeric), 0)]
     while stack:
-        row_idx, depth = stack.pop()
-        labels = train.labels[row_idx]
-        n_pos = int(labels.sum())
-        n_neg = int(labels.size - n_pos)
+        row_idx, order, depth = stack.pop()
+        n_pos = int(train.labels[row_idx].sum())
+        n_neg = int(row_idx.size - n_pos)
         cand = None
-        if (n_pos > 0 and n_neg > 0 and labels.size >= 2 * config.min_leaf
+        if (n_pos > 0 and n_neg > 0 and row_idx.size >= 2 * config.min_leaf
                 and (config.max_depth is None or depth < config.max_depth)):
-            cand = _best_candidate(train.rows[row_idx], labels, train.specs)
+            cand = _best_candidate(train, numeric, order, y, keyed, row_idx, n_pos)
         if cand is None or cand.hd_score <= 0.0:
             preorder.append(Leaf(1 if n_pos >= n_neg else 0, n_pos, n_neg))
             continue
-        importances[cand.feature_index] += (labels.size / train.n) * cand.hd_score
+        importances[cand.feature_index] += (row_idx.size / train.n) * cand.hd_score
         branch = _branch(cand, train.rows[row_idx, cand.feature_index], unlisted=-1)
         preorder.append((cand, n_pos, n_neg))
-        stack.extend((row_idx[branch == i], depth + 1) for i in reversed(range(_arity(cand))))
+        # A child's block is the parent's with the other children's rows left
+        # out: still sorted, equal values still in row order, so it is what a
+        # stable sort of the child's rows would give.
+        child_of[row_idx] = branch
+        marks = child_of.take(order)
+        for i in reversed(range(_arity(cand))):
+            rows_i = row_idx[branch == i]
+            block = order.compress((marks == i).ravel()).reshape(len(numeric), rows_i.size)
+            stack.append((rows_i, block, depth + 1))
 
     return HddtModel(_nest(preorder), importances, train.specs)
 

@@ -220,6 +220,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.5), ("epochs", math.inf), ("epochs", math.nan), ("epochs", 3.0),
+        ("seed", 1.5), ("seed", -1), ("seed", False),
+    ])
+    def test_non_integer_or_negative_config_rejected(self, field, value):
+        # These passed the config and then failed inside train.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
     def test_single_epoch_is_one_gradient_step(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, size=(6, 3))

@@ -105,7 +105,7 @@ class TestTrain:
     @pytest.mark.parametrize("flags", [
         ["--learning-rate", "nan"], ["--learning-rate", "inf"], ["--learning-rate", "0"],
         ["--init-scale", "inf"], ["--init-scale", "-1"], ["--epochs", "0"],
-        ["--min-leaf", "0"], ["--max-depth", "-1"],
+        ["--min-leaf", "0"], ["--max-depth", "-1"], ["--seed", "-1"],
     ])
     def test_bad_config_flag_is_usage_error(self, tmp_path, capsys, command, flags):
         # The data file does not exist: the flags must be rejected before it is read.
@@ -513,6 +513,21 @@ class TestConfigFile:
                                     "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "--epochs" in err
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", 2.5), ("seed", 1.5), ("min_leaf", 2.0), ("max_depth", 1.5)])
+    def test_non_integer_config_value_is_usage_error(self, tmp_path, capsys, command, key,
+                                                     value):
+        # A JSON value reaches the config unconverted; the data file is absent,
+        # so exit 2 shows the value was rejected before it was read.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = ["--out", str(tmp_path / "m.json")] if command == "train" else []
+        code, _, err = run(capsys, ["--config", str(cfg), command,
+                                    "--data", str(tmp_path / "absent.csv"), *out])
+        assert code == 2
+        assert f"{key} must be an integer" in err
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -178,6 +178,43 @@ class TestBestSplitCategorical:
         with pytest.raises(ValueError, match="equal-length"):
             best_split_categorical([0, 1], [1], 2)
 
+    def test_same_bits_as_hellinger_split_score(self):
+        # Count tables of 2-40 categories, some empty and some pure; the
+        # scorer must add its terms in hellinger_split_score's order (np.sum
+        # adds more than eight terms pairwise).
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(400):
+            c = int(rng.integers(2, 41))
+            pos = rng.integers(0, 25, size=c) * (rng.uniform(size=c) < 0.7)
+            neg = rng.integers(0, 25, size=c) * (rng.uniform(size=c) < 0.7)
+            observed = [i for i in range(c) if pos[i] + neg[i] > 0]
+            if pos.sum() == 0 or neg.sum() == 0 or len(observed) < 2:
+                continue
+            values = np.concatenate([np.repeat(np.arange(c), pos), np.repeat(np.arange(c), neg)])
+            labels = np.repeat([1, 0], [pos.sum(), neg.sum()])
+            shuffle = rng.permutation(values.size)
+            cand = best_split_categorical(values[shuffle], labels[shuffle], c, feature_index=3)
+            expected = hellinger_split_score([(pos[i], neg[i]) for i in observed])
+            assert np.float64(cand.hd_score).view(np.int64) == np.float64(expected).view(np.int64)
+            assert cand.categories == tuple(observed) and cand.feature_index == 3
+            checked += 1
+        assert checked > 300
+
+
+class TestTreeConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("min_leaf", math.nan), ("min_leaf", 1.5), ("min_leaf", 2.0), ("min_leaf", True),
+        ("min_leaf", 0), ("max_depth", math.nan), ("max_depth", math.inf),
+        ("max_depth", 2.5), ("max_depth", -1),
+    ])
+    def test_non_integer_or_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TreeConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        assert TreeConfig(min_leaf=np.int64(3), max_depth=np.int32(0)).min_leaf == 3
+
 
 class TestGrowTree:
     def test_separable_single_feature(self):
@@ -282,24 +319,67 @@ class TestGrowTree:
                     name = f.id if isinstance(f, ast.Name) else f.attr if method else None
                     assert name != fn.name, f"{path.name}: {fn.name} calls itself"
 
+    def test_one_level_categorical_is_never_split(self):
+        specs = (FeatureSpec("x", CONTINUOUS), FeatureSpec("c", CATEGORICAL, ("a",)))
+        d = Dataset(specs, np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([1, 0, 0]))
+        model = grow_tree(d)
+        assert model.root.split.feature_index == 0
+        np.testing.assert_array_equal(predict(model, d.rows), d.labels)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             continuous_dataset(np.zeros((0, 1)), [])
 
 
+def reference_grow_tree(train, config):
+    """Reference: the per-node grower, which gathers each node's rows and
+    searches every column afresh through ``per_column_best_candidate``."""
+    importances = np.zeros(train.p)
+    preorder = []
+    stack = [(np.arange(train.n), 0)]
+    while stack:
+        row_idx, depth = stack.pop()
+        labels = train.labels[row_idx]
+        n_pos = int(labels.sum())
+        n_neg = int(labels.size - n_pos)
+        cand = None
+        if (n_pos > 0 and n_neg > 0 and labels.size >= 2 * config.min_leaf
+                and (config.max_depth is None or depth < config.max_depth)):
+            cand = per_column_best_candidate(train.rows[row_idx], labels, train.specs)
+        if cand is None or cand.hd_score <= 0.0:
+            preorder.append(Leaf(1 if n_pos >= n_neg else 0, n_pos, n_neg))
+            continue
+        importances[cand.feature_index] += (labels.size / train.n) * cand.hd_score
+        branch = hddt._branch(cand, train.rows[row_idx, cand.feature_index], unlisted=-1)
+        preorder.append((cand, n_pos, n_neg))
+        stack.extend((row_idx[branch == i], depth + 1)
+                     for i in reversed(range(hddt._arity(cand))))
+    return hddt.HddtModel(hddt._nest(preorder), importances, train.specs)
+
+
 def per_column_best_candidate(rows, labels, specs):
-    """Reference: one argsort and one score vector per continuous column,
-    compared across features in order with strict >."""
+    """Reference: one argsort and one score vector per continuous column, one
+    hellinger_split_score per categorical column, compared across features
+    in order with strict >."""
     best = None
     for j, spec in enumerate(specs):
         if spec.kind == CONTINUOUS:
             cand = per_column_numeric(rows[:, j], labels, j)
         else:
-            cand = best_split_categorical(rows[:, j], labels, len(spec.categories),
-                                          feature_index=j)
+            cand = per_column_categorical(rows[:, j], labels, j)
         if cand is not None and (best is None or cand.hd_score > best.hd_score):
             best = cand
     return best
+
+
+def per_column_categorical(values, labels, feature_index):
+    observed = np.unique(values.astype(int))
+    if observed.size < 2:
+        return None
+    parts = [(int(np.sum((values == c) & (labels == 1))),
+              int(np.sum((values == c) & (labels == 0)))) for c in observed]
+    return SplitCandidate(feature_index, hddt.CATEGORICAL_SPLIT, hellinger_split_score(parts),
+                          categories=tuple(int(c) for c in observed))
 
 
 def per_column_numeric(values, labels, feature_index):
@@ -327,41 +407,56 @@ def per_column_numeric(values, labels, feature_index):
 
 def random_mixed_dataset(rng, n, kinds):
     """Columns of the given kinds: ``"normal"``, ``"repeated"`` (few distinct
-    values), ``"constant"``, ``"copy"`` (of the column before, so scores
-    tie), ``"cat"`` (four random codes) and ``"binary"`` / ``"catbin"`` (the
-    same two-valued column as continuous / categorical, so scores tie across
-    kinds)."""
+    values), ``"ties"`` (three values, so equal values straddle every split
+    on another column), ``"zeros"`` (-0.0 and 0.0 mixed with +-1),
+    ``"constant"``, ``"copy"`` (of the column before, so scores tie),
+    ``"cat"`` (four random codes), ``"cat40"`` (40 levels that follow the
+    signal) and ``"binary"`` / ``"catbin"`` (the same two-valued column as
+    continuous / categorical, so scores tie across kinds)."""
     signal = rng.normal(size=n)
     labels = (signal + rng.normal(scale=0.8, size=n) > 0.9).astype(int)
     cols, specs = [], []
     for j, kind in enumerate(kinds):
         col = {"normal": lambda: signal * rng.uniform() + rng.normal(size=n),
                "repeated": lambda: np.round(signal + rng.normal(size=n)),
+               "ties": lambda: rng.integers(0, 3, size=n) + (signal > 0.9),
+               "zeros": lambda: np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+               * np.abs(np.sign(np.round(signal + rng.normal(scale=0.5, size=n)))),
                "constant": lambda: np.full(n, 3.0),
                "copy": lambda: cols[-1],
                "cat": lambda: rng.integers(0, 4, size=n).astype(float),
+               "cat40": lambda: np.clip(np.round(8 * (signal + rng.normal(size=n)) + 20), 0, 39),
                "binary": lambda: (signal > 0.5).astype(float),
                "catbin": lambda: (signal > 0.5).astype(float)}[kind]()
         cols.append(col)
-        specs.append(FeatureSpec(f"f{j}", CATEGORICAL, tuple("abcd")) if kind.startswith("cat")
+        levels = tuple(f"v{i}" for i in range(40 if kind == "cat40" else 4))
+        specs.append(FeatureSpec(f"f{j}", CATEGORICAL, levels) if kind.startswith("cat")
                      else FeatureSpec(f"f{j}", CONTINUOUS))
     return Dataset(tuple(specs), np.column_stack(cols), labels)
 
 
 class TestBlockedSplitSearch:
-    """grow_tree scores a node's continuous columns together in blocks; the
-    tree must equal the one a per-column search grows."""
+    """grow_tree sorts each continuous column once and scores a node's columns
+    together in blocks; the tree must equal the one a per-node search grows."""
 
-    @pytest.mark.parametrize("kinds,n", [
-        (["normal", "copy", "repeated", "constant", "cat", "normal", "copy"], 300),
-        (["binary", "catbin", "repeated", "normal"], 300),
-        (["catbin", "binary", "repeated", "normal"], 300),
-        (["normal", "repeated", "constant", "copy"], 400),
-        (["cat", "cat", "catbin"], 300),
-        (["normal", "copy", "repeated", "constant", "normal", "cat"] * 3, 6000),
+    @pytest.mark.parametrize("kinds,n,config", [
+        (["normal", "copy", "repeated", "constant", "cat", "normal", "copy"], 300,
+         TreeConfig(min_leaf=2)),
+        (["binary", "catbin", "repeated", "normal"], 300, TreeConfig(min_leaf=2)),
+        (["catbin", "binary", "repeated", "normal"], 300, TreeConfig(min_leaf=2)),
+        (["normal", "repeated", "constant", "copy"], 400, TreeConfig(min_leaf=2)),
+        (["cat", "cat", "catbin"], 300, TreeConfig(min_leaf=2)),
+        (["normal", "copy", "repeated", "constant", "normal", "cat"] * 3, 6000,
+         TreeConfig(min_leaf=2)),
+        (["normal", "cat40", "cat40"], 600, TreeConfig()),
+        (["ties", "normal", "ties", "ties"], 400, TreeConfig()),
+        (["zeros", "normal", "zeros"], 300, TreeConfig()),
+        (["normal", "cat", "ties", "normal"], 500, TreeConfig(min_leaf=6, max_depth=5)),
+        (["repeated", "normal", "cat"], 500, TreeConfig(max_depth=3)),
     ], ids=["mixed", "tie-continuous-first", "tie-categorical-first", "continuous-only",
-            "categorical-only", "many-blocks"])
-    def test_same_tree_as_per_column_search(self, kinds, n, monkeypatch):
+            "categorical-only", "many-blocks", "wide-categorical", "ties-straddle-splits",
+            "signed-zeros", "min-leaf-max-depth", "shallow"])
+    def test_same_tree_as_per_column_search(self, kinds, n, config, monkeypatch):
         if n == 6000:  # the root's continuous columns span two blocks
             assert n * (len(kinds) - kinds.count("cat")) > hddt.BLOCK_ELEMENTS
         rng = np.random.default_rng(n + len(kinds))
@@ -370,16 +465,34 @@ class TestBlockedSplitSearch:
         budgets = (hddt.BLOCK_ELEMENTS, 1, 700) if n < 1000 else (hddt.BLOCK_ELEMENTS,)
         for _ in range(3 if n < 1000 else 1):
             d = random_mixed_dataset(rng, n, kinds)
-            with monkeypatch.context() as patch:
-                patch.setattr(hddt, "_best_candidate", per_column_best_candidate)
-                reference = model_to_dict(grow_tree(d, TreeConfig(min_leaf=2)))
+            reference = model_to_dict(reference_grow_tree(d, config))
             for budget in budgets:
                 with monkeypatch.context() as patch:
                     patch.setattr(hddt, "BLOCK_ELEMENTS", budget)
-                    assert model_to_dict(grow_tree(d, TreeConfig(min_leaf=2))) == reference
-            assert len(reference["nodes"]) > 3
+                    assert model_to_dict(grow_tree(d, config)) == reference
+            nodes = reference["nodes"]
+            assert len(nodes) > 3
             if kinds[:2] in (["binary", "catbin"], ["catbin", "binary"]):
-                assert reference["nodes"][0]["feature_index"] == 0
+                assert nodes[0]["feature_index"] == 0
+            splits = [node for node in nodes[1:] if node["kind"] == "split"]
+            if "cat40" in kinds:  # a many-way split below the root
+                assert any(len(node.get("categories", ())) >= 3 for node in splits)
+            if kinds[0] == "ties":  # a tied column split after its rows were partitioned
+                assert any(kinds[node["feature_index"]] == "ties" for node in splits)
+            if kinds[0] == "zeros":
+                zero = d.rows[:, 0] == 0
+                assert np.signbit(d.rows[zero, 0]).any() and not np.signbit(d.rows[zero, 0]).all()
+
+    def test_argsort_runs_once_per_root_block(self, monkeypatch):
+        # 3,000 rows fit 21 columns in a block, so the root's 30 continuous
+        # columns are sorted in two argsort calls; no node sorts again.
+        d = random_mixed_dataset(np.random.default_rng(9), 3000, ["normal"] * 30 + ["cat"])
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        model = grow_tree(d)
+        assert len(calls) == math.ceil(30 / (hddt.BLOCK_ELEMENTS // 3000)) == 2
+        assert len(model_to_dict(model)["nodes"]) > 100
 
 
 class TestPredict:
