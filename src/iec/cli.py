@@ -17,7 +17,7 @@ import numpy as np
 
 from iec import ensemble, metrics
 from iec.ann import TrainConfig
-from iec.data import Dataset, load_csv, synth_generate
+from iec.data import Dataset, load_csv, require_protocol, synth_generate
 from iec.ensemble import run_benchmark
 from iec.hddt import TreeConfig
 
@@ -122,8 +122,8 @@ def _build_parser():
 def _validate(args, parser):
     """Reject bad flags before any file is read (exit 2).
 
-    The synthetic dataset and the tree and training configs are built here,
-    once; their own checks cover those flags.
+    The synthetic dataset, the tree and training configs and the protocol
+    arguments are built or checked here, once, by the library's own checks.
     """
     cmd = args.command
     try:
@@ -134,13 +134,10 @@ def _validate(args, parser):
             args.tree_config = TreeConfig(min_leaf=args.min_leaf, max_depth=args.max_depth)
             args.train_config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                                             seed=args.seed, init_scale=args.init_scale)
+        if cmd == "benchmark":
+            require_protocol(args.repetitions, args.train_fraction)
     except ValueError as exc:
         parser.error(str(exc))
-    if cmd == "benchmark":
-        if args.repetitions < 1:
-            parser.error("--repetitions must be >= 1")
-        if not 0.0 < args.train_fraction < 1.0:
-            parser.error("--train-fraction must be in (0, 1)")
     if cmd == "evaluate" and not (args.model or args.baseline):
         parser.error("either --model or --baseline is required")
 

@@ -34,6 +34,15 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def category_codes(column, level_count: int, name) -> np.ndarray:
+    """The int64 codes of a float64 column, or a ValueError naming feature ``name`` unless
+    each value is a whole number in 0 .. level_count - 1 (NaN, inf, 1e300 fail before the cast)."""
+    if not ((column == np.floor(column)) & (column >= 0) & (column < level_count)).all():
+        raise ValueError(f"invalid category index in feature {name!r}: "
+                         f"out of range 0 .. {level_count - 1}")
+    return column.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Schema for a single feature column."""
@@ -85,9 +94,7 @@ class Dataset:
             raise ValueError(f"non-finite value at row {r}, feature {self.specs[j].name!r}")
         for j, spec in enumerate(self.specs):
             if spec.kind == CATEGORICAL:
-                col = rows[:, j]
-                if not ((col == np.floor(col)) & (col >= 0) & (col < len(spec.categories))).all():
-                    raise ValueError(f"invalid category index in feature {spec.name!r}")
+                category_codes(rows[:, j], len(spec.categories), spec.name)
         rows.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -151,7 +158,7 @@ def specs_from_dicts(items) -> tuple[FeatureSpec, ...]:
 
 def load_csv(path, label_column: str, positive_label: str,
              categorical_columns=(), specs=None) -> Dataset:
-    """Read an RFC-4180-style CSV (header row, UTF-8, '.' decimals) into a Dataset.
+    """Read an RFC-4180-style CSV (header row, UTF-8 with optional BOM, '.' decimals).
 
     Without ``specs`` the schema comes from the file: columns named in
     ``categorical_columns`` are categorical, with categories ordered by first
@@ -163,7 +170,7 @@ def load_csv(path, label_column: str, positive_label: str,
     non-finite (nan, inf) or unparseable value, an unseen category, an absent
     column or a third label value.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -286,8 +293,7 @@ def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Data
     train side (halves round away from zero).  Row order within each side
     follows the original dataset.  Deterministic given the seed.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    require_protocol(1, train_fraction)
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
@@ -307,6 +313,13 @@ def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Data
     return d.subset(train), d.subset(test)
 
 
+def require_protocol(repetitions, train_fraction) -> None:
+    """Reject a repetition count that is not an integer >= 1 or a train fraction outside (0, 1)."""
+    require_int("repetitions", repetitions, 1)
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+
+
 def repeated_eval_protocol(d: Dataset, repetitions: int = 5, train_fraction: float = 0.7,
                            seed: int = 0) -> list[tuple[Dataset, Dataset]]:
     """Independent stratified splits for repeated evaluation, one per repetition.
@@ -314,8 +327,7 @@ def repeated_eval_protocol(d: Dataset, repetitions: int = 5, train_fraction: flo
     Repetition ``i`` uses seed ``seed + i``.  Callers train on each train side
     and average the resulting metric reports.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    require_protocol(repetitions, train_fraction)
     return [stratified_split(d, train_fraction, seed + i) for i in range(repetitions)]
 
 
@@ -328,14 +340,11 @@ def synth_generate(n: int, informative: int, noise: int, minority_fraction: floa
     are class-independent standard Gaussians.  Positive rows number
     round(n * minority_fraction).
     """
-    if n < 10:
-        raise ValueError("n must be >= 10")
+    require_int("n", n, 10)
     if not 0.0 < minority_fraction < 0.5:
         raise ValueError(f"minority_fraction must be in (0, 0.5), got {minority_fraction}")
-    if informative < 1:
-        raise ValueError("need at least one informative feature")
-    if noise < 0:
-        raise ValueError("noise feature count cannot be negative")
+    require_int("informative", informative, 1)
+    require_int("noise", noise, 0)
 
     n_pos = round_half_away(n * minority_fraction)
     if n_pos < 1:

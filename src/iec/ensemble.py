@@ -19,8 +19,8 @@ import numpy as np
 
 from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
-from iec.data import (CATEGORICAL, Dataset, ScalingParams, min_max_apply_matrix,
-                      min_max_fit_matrix, repeated_eval_protocol)
+from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes,
+                      min_max_apply_matrix, min_max_fit_matrix, repeated_eval_protocol)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -79,10 +79,7 @@ def network_input(rows: np.ndarray, specs, selected, op=None) -> np.ndarray:
     for j in selected:
         spec, col = specs[j], rows[:, j]
         if spec.kind == CATEGORICAL:
-            idx = col.astype(np.int64)
-            if not ((idx == col) & (idx >= 0) & (idx < _width(spec))).all():
-                raise ValueError(f"invalid category index in feature {spec.name!r}")
-            out[np.arange(n), at + idx] = 1.0
+            out[np.arange(n), at + category_codes(col, _width(spec), spec.name)] = 1.0
         else:
             out[:, at] = col
         at += _width(spec)

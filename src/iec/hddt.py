@@ -29,10 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import (CONTINUOUS, Dataset, FeatureSpec, require_int, specs_from_dicts,
-                      specs_to_dicts)
-
-MAX_SCORE = math.sqrt(2.0)
+from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, require_int,
+                      specs_from_dicts, specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -98,19 +96,34 @@ def hellinger_split_score(partition_counts) -> float:
     Requires at least two partitions and at least one example of each class in
     the node overall; individual partitions may be pure or empty of one class.
     """
-    counts = [(int(p), int(n)) for p, n in partition_counts]
+    counts = np.array([(int(p), int(n)) for p, n in partition_counts], dtype=np.int64)
     if len(counts) < 2:
         raise ValueError("a split needs at least two partitions")
-    if any(p < 0 or n < 0 for p, n in counts):
+    if (counts < 0).any():
         raise ValueError("partition counts cannot be negative")
-    total_pos = sum(p for p, _ in counts)
-    total_neg = sum(n for _, n in counts)
+    return _hellinger(counts[:, 0], counts[:, 1])
+
+
+def _hellinger(pos: np.ndarray, neg: np.ndarray) -> float:
+    """Hellinger score of partitions with ``pos[i]`` positive and ``neg[i]`` negative rows.
+    The squares are added one by one: np.sum pairs more than eight, changing last bits."""
+    total_pos, total_neg = int(pos.sum()), int(neg.sum())
     if total_pos < 1 or total_neg < 1:
         raise ValueError("both classes must be present at the node being split")
     total = 0.0
-    for pos, neg in counts:
-        total += (math.sqrt(pos / total_pos) - math.sqrt(neg / total_neg)) ** 2
+    for d in (np.sqrt(pos / total_pos) - np.sqrt(neg / total_neg)).tolist():
+        total += d ** 2
     return math.sqrt(total)
+
+
+def _split_inputs(values, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` (as float64) and ``labels`` as equal-length vectors, labels only 0 and 1."""
+    values, labels = np.asarray(values, dtype=np.float64), np.asarray(labels)
+    if values.shape != labels.shape or values.ndim != 1:
+        raise ValueError("values and labels must be equal-length vectors")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must contain only 0 and 1")
+    return values, labels
 
 
 def best_split_numeric(values, labels, feature_index: int = 0) -> SplitCandidate | None:
@@ -120,10 +133,7 @@ def best_split_numeric(values, labels, feature_index: int = 0) -> SplitCandidate
     midpoint where it falls strictly below the upper one); ties in score go to
     the lowest threshold.  Returns None when all values are identical.
     """
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    if values.shape != labels.shape or values.ndim != 1:
-        raise ValueError("values and labels must be equal-length vectors")
+    values, labels = _split_inputs(values, labels)
     if values.size < 2:
         raise ValueError("need at least two rows to split")
     column = values[:, np.newaxis]
@@ -193,7 +203,7 @@ def _numeric_splits(rows: np.ndarray, columns: list[int], order: np.ndarray,
         # Counts of the first i + 1 sorted rows, exact as float64 below 2**53.
         left_pos = y.take(block[:, :-1])
         np.cumsum(left_pos, axis=1, out=left_pos)
-        # Same expression and evaluation order as hellinger_split_score on the
+        # Same expression and evaluation order as _hellinger on the
         # two-partition case, one term per buffer.
         s, t = buffers[0, :k], buffers[1, :k]
         np.divide(left_pos, total_pos, out=s)
@@ -242,15 +252,10 @@ def best_split_categorical(values, labels, category_count: int,
 
     Returns None when only a single category occurs.
     """
-    values = np.asarray(values)
-    labels = np.asarray(labels)
-    if values.shape != labels.shape or values.ndim != 1:
-        raise ValueError("values and labels must be equal-length vectors")
+    values, labels = _split_inputs(values, labels)
     if category_count < 2:
         raise ValueError("categorical splits need at least two declared categories")
-    idx = values.astype(np.int64)
-    if not ((idx == values) & (idx >= 0) & (idx < category_count)).all():
-        raise ValueError("category index out of range")
+    idx = category_codes(values, category_count, feature_index)
     counts = np.bincount(idx * 2 + (labels == 1), minlength=2 * category_count)
     return _categorical_split(counts, feature_index)
 
@@ -262,17 +267,8 @@ def _categorical_split(counts: np.ndarray, feature_index: int) -> SplitCandidate
     observed = np.flatnonzero(neg + pos)
     if observed.size < 2:
         return None
-    pos, neg = pos[observed], neg[observed]
-    total_pos, total_neg = int(pos.sum()), int(neg.sum())
-    if total_pos < 1 or total_neg < 1:
-        raise ValueError("both classes must be present at the node being split")
-    # hellinger_split_score's arithmetic: the same divisions and square roots,
-    # then the squared terms added one by one in category order (np.sum adds
-    # more than eight terms pairwise, which can change the last bit).
-    total = 0.0
-    for d in (np.sqrt(pos / total_pos) - np.sqrt(neg / total_neg)).tolist():
-        total += d ** 2
-    return SplitCandidate(feature_index, CATEGORICAL_SPLIT, math.sqrt(total),
+    return SplitCandidate(feature_index, CATEGORICAL_SPLIT,
+                          _hellinger(pos[observed], neg[observed]),
                           categories=tuple(observed.tolist()))
 
 

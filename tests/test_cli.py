@@ -450,6 +450,15 @@ class TestBenchmark:
         assert code == 2
         assert "repetitions" in err
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--repetitions", "0", "repetitions"), ("--train-fraction", "1.5", "train_fraction")])
+    def test_bad_protocol_argument_exits_before_reading(self, tmp_path, capsys,
+                                                        flag, value, field):
+        code, _, err = run(capsys, ["benchmark", "--data", str(tmp_path / "absent.csv"),
+                                    flag, value])
+        assert code == 2
+        assert f"{field} must be" in err and "absent.csv" not in err
+
     def test_failed_fold_reports_index(self):
         from iec.ann import TrainConfig
         from iec.cli import run_benchmark

@@ -1,14 +1,17 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
-                      ScalingParams, imbalance_cv, load_csv,
+                      ScalingParams, category_codes, imbalance_cv, load_csv,
                       min_max_apply_matrix, min_max_fit_matrix,
                       repeated_eval_protocol,
                       specs_from_dicts, specs_to_dicts, stratified_split,
                       synth_generate)
+from iec.ensemble import network_input
+from iec.hddt import best_split_categorical
 
 
 def write_csv(path, text):
@@ -42,6 +45,13 @@ class TestLoadCsv:
         assert [s.name for s in d.specs] == ["SSC", "HSC"]
         assert all(s.kind == CONTINUOUS for s in d.specs)
         np.testing.assert_array_equal(d.rows, [[68.4, 85.6], [64.0, 68.0]])
+
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,class\n1,2,1\n3,4,0\n")
+        assert [s.name for s in load_csv(str(path), "class", "1").specs] == ["a", "b"]
+        d = load_csv(str(path), "a", "1")
+        assert [s.name for s in d.specs] == ["b", "class"] and d.labels.tolist() == [1, 0]
 
     def test_single_row(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,lab\n1.5,Y\n")
@@ -373,6 +383,41 @@ class TestRepeatedEvalProtocol:
         with pytest.raises(ValueError, match="repetitions"):
             repeated_eval_protocol(labelled_dataset(10, 5), repetitions=0)
 
+    @pytest.mark.parametrize("repetitions", [2.5, 2.0, True])
+    def test_non_integer_repetitions_rejected(self, repetitions):
+        with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
+            repeated_eval_protocol(labelled_dataset(10, 5), repetitions)
+
+
+# Every caller of category_codes, each given one bad cell of a two-level
+# feature named 'c' (index 5 for the split search, which names features by
+# index) next to a valid one.
+TWO_LEVELS = (FeatureSpec("c", CATEGORICAL, ("a", "b")),)
+CODE_CALLERS = {
+    "Dataset": (lambda v: Dataset(TWO_LEVELS, [[v], [0.0]], [1, 0]), "c"),
+    "network_input": (lambda v: network_input(np.array([[v], [0.0]]), TWO_LEVELS, [0]), "c"),
+    "best_split_categorical": (lambda v: best_split_categorical([v, 0.0], [1, 0], 2, 5), 5),
+}
+
+
+class TestCategoryCodes:
+    # NaN, +-inf and 1e300 warned "invalid value encountered in cast" (an error
+    # here) in network_input and best_split_categorical; Dataset rejects
+    # non-finite cells earlier, so it gets the finite cases only.
+    @pytest.mark.parametrize("caller,value", [
+        (caller, value) for caller in CODE_CALLERS
+        for value in (np.nan, np.inf, -np.inf, 1e300, -1.0, 0.5, 2.0)
+        if caller != "Dataset" or np.isfinite(value)])
+    def test_invalid_code_rejected_by_every_caller(self, caller, value):
+        call, name = CODE_CALLERS[caller]
+        message = f"invalid category index in feature {name!r}: out of range 0 .. 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+
+    def test_valid_codes_returned_as_int64(self):
+        codes = category_codes(np.array([2.0, 0.0, -0.0, 1.0]), 3, "c")
+        assert codes.dtype == np.int64 and codes.tolist() == [2, 0, 0, 1]
+
 
 class TestSynthGenerate:
     def test_class_sizes(self):
@@ -412,6 +457,12 @@ class TestSynthGenerate:
             synth_generate(100, 0, 2, 0.2, seed=0)
         with pytest.raises(ValueError):
             synth_generate(100, 2, -1, 0.2, seed=0)
+
+    @pytest.mark.parametrize("field,args", [
+        ("n", (100.5, 2, 2)), ("informative", (100, 2.0, 2)), ("noise", (100, 2, True))])
+    def test_non_integer_counts_rejected(self, field, args):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            synth_generate(*args, 0.2, seed=0)
 
 
 class TestDatasetInvariants:

@@ -197,9 +197,23 @@ class TestBestSplitCategorical:
             cand = best_split_categorical(values[shuffle], labels[shuffle], c, feature_index=3)
             expected = hellinger_split_score([(pos[i], neg[i]) for i in observed])
             assert np.float64(cand.hd_score).view(np.int64) == np.float64(expected).view(np.int64)
+            # Both paths share one sum, so the oracle is what pins its order.
+            oracle = hd_reference([(int(pos[i]), int(neg[i])) for i in observed])
+            assert np.float64(expected).view(np.int64) == np.float64(oracle).view(np.int64)
             assert cand.categories == tuple(observed) and cand.feature_index == 3
             checked += 1
         assert checked > 300
+
+
+class TestSplitInputs:
+    @pytest.mark.parametrize("labels", [[0, 2, 0], [0, 2, 1, 0]])
+    def test_non_binary_labels_rejected(self, labels):
+        # best_split_numeric scored [0, 2, 0] as two positives and one negative: sqrt(2).
+        values = [float(i % 2) for i in range(len(labels))]
+        with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+            best_split_numeric([1.0 + i for i in range(len(labels))], labels)
+        with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+            best_split_categorical(values, labels, 2)
 
 
 class TestTreeConfig:
