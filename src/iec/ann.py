@@ -296,8 +296,8 @@ def model_to_dict(model: MlpModel) -> dict:
 def model_from_dict(d: dict) -> MlpModel:
     if d.get("format_version") != 1:
         raise ValueError(f"unsupported network format version {d.get('format_version')!r}")
-    k = int(d["hidden_count"])
-    dim = int(d["input_dim"])
+    k = require_int("hidden_count", d["hidden_count"], 1)
+    dim = require_int("input_dim", d["input_dim"], 1)
     return MlpModel(
         dim, k,
         np.array(d["hidden_weights"], dtype=np.float64).reshape(k, dim),

@@ -53,14 +53,14 @@ def _add_data_flags(sub):
 
 
 def _add_tree_flags(sub):
-    sub.add_argument("--min-leaf", type=int, default=1)
-    sub.add_argument("--max-depth", type=int, default=None)
+    sub.add_argument("--min-leaf", type=int, default=TreeConfig.min_leaf)
+    sub.add_argument("--max-depth", type=int, default=TreeConfig.max_depth)
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--epochs", type=int, default=2000)
-    sub.add_argument("--learning-rate", type=float, default=0.3)
-    sub.add_argument("--init-scale", type=float, default=0.5)
+    sub.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    sub.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    sub.add_argument("--init-scale", type=float, default=TrainConfig.init_scale)
 
 
 def _build_parser():

@@ -28,10 +28,11 @@ def round_half_away(x: float) -> int:
     return -int(-x + 0.5)
 
 
-def require_int(name: str, value, minimum: int) -> None:
-    """Reject ``value`` unless it is an integer (not a bool) >= ``minimum``, naming ``name``."""
+def require_int(name: str, value, minimum: int):
+    """``value`` if it is an integer (not a bool) >= ``minimum``, else a ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def category_codes(column, level_count: int, name) -> np.ndarray:
@@ -75,7 +76,7 @@ class Dataset:
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
         rows = np.array(self.rows, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-d matrix")
         if rows.shape[0] < 1:
@@ -86,8 +87,10 @@ class Dataset:
             )
         if labels.shape != (rows.shape[0],):
             raise ValueError("labels must be one per row")
+        # Checked before the cast, which would truncate 0.5 to 0 and fail on NaN.
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must contain only 0 and 1")
+        labels = labels.astype(np.int64)
         finite = np.isfinite(rows)
         if not finite.all():
             r, j = np.argwhere(~finite)[0]

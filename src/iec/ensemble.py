@@ -20,7 +20,8 @@ import numpy as np
 from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes,
-                      min_max_apply_matrix, min_max_fit_matrix, repeated_eval_protocol)
+                      min_max_apply_matrix, min_max_fit_matrix, repeated_eval_protocol,
+                      require_int)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -171,8 +172,9 @@ def model_from_dict(d: dict) -> IecModel:
         raise ValueError("not a supported classifier model document")
     return IecModel(
         tree=hddt.model_from_dict(d["tree"]),
-        selected_features=tuple(int(j) for j in d["selected_features"]),
+        selected_features=tuple(require_int("selected_features", j, 0)
+                                for j in d["selected_features"]),
         scaling=ScalingParams.from_dict(d["scaling"]),
         net=ann.model_from_dict(d["net"]),
-        d_m=int(d["d_m"]),
+        d_m=require_int("d_m", d["d_m"], 1),
     )

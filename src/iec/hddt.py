@@ -7,8 +7,9 @@ over the partitions a split induces:
 
 Because only within-class proportions enter, the score ignores class priors:
 replicating the minority class leaves every score (and hence the grown tree)
-unchanged.  Scores live in [0, sqrt(2)], with sqrt(2) reached exactly when no
-partition mixes the classes.
+unchanged.  In exact arithmetic scores lie in [0, sqrt(2)], with sqrt(2) when
+no partition mixes the classes; in floating point such a pure split can
+score a few ulps either side of ``math.sqrt(2)``.
 
 Growth is presorted, after SLIQ and SPRINT: ``grow_tree`` sorts each
 continuous column once, at the root, into a q x n array of row indices.
@@ -106,14 +107,24 @@ def hellinger_split_score(partition_counts) -> float:
 
 def _hellinger(pos: np.ndarray, neg: np.ndarray) -> float:
     """Hellinger score of partitions with ``pos[i]`` positive and ``neg[i]`` negative rows.
-    The squares are added one by one: np.sum pairs more than eight, changing last bits."""
-    total_pos, total_neg = int(pos.sum()), int(neg.sum())
+    The terms are added one by one: np.sum pairs more than eight, changing last bits."""
+    terms = _terms(pos, neg, int(pos.sum()), int(neg.sum()))
+    return math.sqrt(np.add.accumulate(terms)[-1])
+
+
+def _terms(pos: np.ndarray, neg: np.ndarray, total_pos: float, total_neg: float) -> np.ndarray:
+    """Each partition's term ``(sqrt(pos / total_pos) - sqrt(neg / total_neg))**2``.
+
+    Every split's score is built from these, in numpy's exactly rounded ops
+    (Python's ``** 2`` calls libm ``pow``, which can miss by one ulp), so equal
+    partitions score equal bits whichever search finds them.
+    """
     if total_pos < 1 or total_neg < 1:
         raise ValueError("both classes must be present at the node being split")
-    total = 0.0
-    for d in (np.sqrt(pos / total_pos) - np.sqrt(neg / total_neg)).tolist():
-        total += d ** 2
-    return math.sqrt(total)
+    d, e = pos / total_pos, neg / total_neg
+    np.sqrt(d, out=d)
+    d -= np.sqrt(e, out=e)
+    return np.square(d, out=d)
 
 
 def _split_inputs(values, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +197,6 @@ def _numeric_splits(rows: np.ndarray, columns: list[int], order: np.ndarray,
     total_neg = m - total_pos
     left_n = np.arange(1.0, m)
     width = _block_width(m, q)
-    buffers = np.empty((2, width, m - 1))
     columns = np.asarray(columns, dtype=np.intp)[:, np.newaxis]
     for first in range(0, q, width):
         block = order[first:first + width]
@@ -198,31 +208,12 @@ def _numeric_splits(rows: np.ndarray, columns: list[int], order: np.ndarray,
         same = sv[:, 1:] == sv[:, :-1]
         if same.all():
             continue
-        if total_pos < 1 or total_neg < 1:
-            raise ValueError("both classes must be present at the node being split")
         # Counts of the first i + 1 sorted rows, exact as float64 below 2**53.
         left_pos = y.take(block[:, :-1])
         np.cumsum(left_pos, axis=1, out=left_pos)
-        # Same expression and evaluation order as _hellinger on the
-        # two-partition case, one term per buffer.
-        s, t = buffers[0, :k], buffers[1, :k]
-        np.divide(left_pos, total_pos, out=s)
-        np.sqrt(s, out=s)
-        np.subtract(left_n, left_pos, out=t)
-        t /= total_neg
-        np.sqrt(t, out=t)
-        s -= t
-        np.square(s, out=s)
-        np.subtract(total_pos, left_pos, out=t)
-        t /= total_pos
-        np.sqrt(t, out=t)
-        left_pos -= left_n  # right_neg = total_neg - (left_n - left_pos)
-        left_pos += total_neg
-        left_pos /= total_neg
-        np.sqrt(left_pos, out=left_pos)
-        t -= left_pos
-        np.square(t, out=t)
-        s += t
+        left_neg = left_n - left_pos
+        s = _terms(left_pos, left_neg, total_pos, total_neg)
+        s += _terms(total_pos - left_pos, total_neg - left_neg, total_pos, total_neg)
         np.sqrt(s, out=s)
         s[same] = -np.inf
         best = np.argmax(s, axis=1)
@@ -438,12 +429,13 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
     """One ``_nest`` entry, rejecting a node that ``predict`` could not route, naming the field."""
+    counts = require_int("n_pos", d["n_pos"], 0), require_int("n_neg", d["n_neg"], 0)
     if d["kind"] == "leaf":
-        if d["label"] not in (0, 1):
+        if require_int("label", d["label"], 0) > 1:
             raise ValueError(f"label must be 0 or 1, got {d['label']!r}")
-        return Leaf(int(d["label"]), int(d["n_pos"]), int(d["n_neg"]))
-    j = int(d["feature_index"])
-    if not 0 <= j < len(specs):
+        return Leaf(d["label"], *counts)
+    j = require_int("feature_index", d["feature_index"], 0)
+    if j >= len(specs):
         raise ValueError(f"feature_index {j} is outside 0 .. {len(specs) - 1}")
     kind, spec = d["split_kind"], specs[j]
     if kind != (NUMERIC if spec.kind == CONTINUOUS else CATEGORICAL_SPLIT):
@@ -454,13 +446,13 @@ def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
         if not math.isfinite(threshold):
             raise ValueError(f"threshold must be finite, got {threshold}")
     else:
-        categories = tuple(int(c) for c in d["categories"])
+        categories = tuple(require_int("categories", c, 0) for c in d["categories"])
         if (len(categories) < 2 or len(set(categories)) != len(categories)
-                or not all(0 <= c < len(spec.categories) for c in categories)):
+                or not all(c < len(spec.categories) for c in categories)):
             raise ValueError(f"categories {list(categories)} must be at least two distinct "
                              f"codes in 0 .. {len(spec.categories) - 1} of {spec.name!r}")
     split = SplitCandidate(j, kind, float(d["hd_score"]), threshold, categories)
-    return split, int(d["n_pos"]), int(d["n_neg"])
+    return (split, *counts)
 
 
 def model_to_dict(model: HddtModel) -> dict:

@@ -311,8 +311,13 @@ class TestEvaluate:
         ("scaling", lambda doc: doc["scaling"]["maxs"].__setitem__(0, float("nan"))),
         ("scaling", lambda doc: doc["scaling"]["maxs"].__setitem__(0, float("inf"))),
         ("scaling", lambda doc: doc["scaling"]["mins"].__setitem__(0, float("-inf"))),
+        ("selected_features", lambda doc: doc["selected_features"].__setitem__(
+            0, doc["selected_features"][0] + 0.5)),
+        ("d_m", lambda doc: doc.update(d_m=str(doc["d_m"]))),
+        ("input_dim", lambda doc: doc["net"].update(input_dim=doc["net"]["input_dim"] + 0.9)),
     ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
-            "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min"])
+            "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min",
+            "fractional-feature", "string-d_m", "fractional-input_dim"])
     def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"
@@ -344,10 +349,16 @@ class TestEvaluate:
         ("threshold", False, lambda nodes: nodes[0].update(threshold=float("inf"))),
         ("label", False, lambda nodes: nodes[1].update(label=7)),
         ("label", True, lambda nodes: nodes[2].update(label=-1)),
+        ("feature_index", False, lambda nodes: nodes[0].update(feature_index=0.7)),
+        ("feature_index", False, lambda nodes: nodes[0].update(feature_index=True)),
+        ("label", False, lambda nodes: nodes[1].update(label=True)),
+        ("label", False, lambda nodes: nodes[1].update(label=1.0)),
+        ("n_pos", False, lambda nodes: nodes[0].update(n_pos=-50)),
     ], ids=["feature-past-specs", "negative-feature", "categorical-on-continuous",
             "numeric-on-categorical", "one-numeric-child", "extra-categorical-child",
             "repeated-category", "unknown-category", "nan-threshold", "inf-threshold",
-            "leaf-label-7", "leaf-label-minus-1"])
+            "leaf-label-7", "leaf-label-minus-1", "fractional-feature", "bool-feature",
+            "bool-label", "float-label", "negative-n_pos"])
     def test_malformed_tree_rejected_at_load(self, tmp_path, capsys, field, categorical,
                                              tamper):
         model_path = tmp_path / "model.json"

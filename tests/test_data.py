@@ -477,6 +477,12 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="0 and 1"):
             continuous_dataset([[1.0]], [2])
 
+    @pytest.mark.parametrize("labels", [[0.5, 1], [np.nan, 1]], ids=["half", "nan"])
+    def test_labels_checked_before_the_cast(self, labels):
+        # The int64 cast made 0.5 a 0 and failed on NaN with numpy's own message.
+        with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+            Dataset((FeatureSpec("x", CONTINUOUS),), [[1.0], [2.0]], labels)
+
     def test_category_indices_checked(self):
         specs = (FeatureSpec("c", CATEGORICAL, ("a", "b")),)
         with pytest.raises(ValueError, match="category index"):

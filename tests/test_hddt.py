@@ -26,6 +26,14 @@ MIDPOINT_OUTSIDE_BOUNDARY = pytest.mark.parametrize("values", [
 ], ids=["overflow", "adjacent-doubles"])
 
 
+# Partition pos [315, 155] against neg [61, 50] on a two-value column.  Python's
+# ** (libm pow) squares one of its terms an ulp away from np.square, so a
+# threshold split and a category split of it tie only if both square alike.
+POS_NEG_ROWS = [315, 155, 61, 50]
+TWO_VALUE_COLUMN = np.repeat([0.0, 1.0, 0.0, 1.0], POS_NEG_ROWS)
+TWO_VALUE_LABELS = np.repeat([1, 1, 0, 0], POS_NEG_ROWS)
+
+
 def continuous_dataset(rows, labels, names=None):
     rows = np.asarray(rows, dtype=float)
     names = names or [f"f{j}" for j in range(rows.shape[1])]
@@ -132,6 +140,21 @@ class TestBestSplitNumeric:
         assert values[0] <= cand.threshold < values[1]
         assert cand.hd_score == SQRT2
 
+    def test_same_bits_as_hellinger_split_score(self):
+        rng = np.random.default_rng(29)
+        columns = [(TWO_VALUE_COLUMN, TWO_VALUE_LABELS)]
+        for _ in range(300):
+            n = int(rng.integers(2, 200))
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() < labels.max():
+                columns.append((rng.normal(size=n), labels))
+        for values, labels in columns:
+            cand = best_split_numeric(values, labels)
+            left = values <= cand.threshold
+            expected = hellinger_split_score(
+                [((labels[side] == 1).sum(), (labels[side] == 0).sum()) for side in (left, ~left)])
+            assert np.float64(cand.hd_score).view(np.int64) == np.float64(expected).view(np.int64)
+
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(13)
         for _ in range(60):
@@ -197,7 +220,9 @@ class TestBestSplitCategorical:
             cand = best_split_categorical(values[shuffle], labels[shuffle], c, feature_index=3)
             expected = hellinger_split_score([(pos[i], neg[i]) for i in observed])
             assert np.float64(cand.hd_score).view(np.int64) == np.float64(expected).view(np.int64)
-            # Both paths share one sum, so the oracle is what pins its order.
+            # Both paths share one sum.  The oracle squares with Python's **
+            # (libm pow), which can miss np.square by an ulp, so it pins the
+            # order of that sum; on these tables it agrees to the last bit.
             oracle = hd_reference([(int(pos[i]), int(neg[i])) for i in observed])
             assert np.float64(expected).view(np.int64) == np.float64(oracle).view(np.int64)
             assert cand.categories == tuple(observed) and cand.feature_index == 3
@@ -339,6 +364,11 @@ class TestGrowTree:
         model = grow_tree(d)
         assert model.root.split.feature_index == 0
         np.testing.assert_array_equal(predict(model, d.rows), d.labels)
+
+    def test_equal_partitions_tie_to_the_lower_feature_index(self):
+        specs = (FeatureSpec("x", CONTINUOUS), FeatureSpec("c", CATEGORICAL, ("a", "b")))
+        d = Dataset(specs, np.c_[TWO_VALUE_COLUMN, TWO_VALUE_COLUMN], TWO_VALUE_LABELS)
+        assert grow_tree(d).root.split.feature_index == 0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -627,3 +657,13 @@ class TestSerialization:
     def test_version_check(self):
         with pytest.raises(ValueError, match="version"):
             model_from_dict({"format_version": 99})
+
+    def test_pure_split_scoring_above_sqrt2_round_trips(self):
+        # Pure, so sqrt(2) in exact arithmetic; its float sum lands above math.sqrt(2).
+        pos, neg = [0, 7, 0, 4, 4, 8], [5, 0, 5, 0, 0, 0]
+        codes = np.concatenate([np.repeat(np.arange(6.0), pos), np.repeat(np.arange(6.0), neg)])
+        specs = (FeatureSpec("c", CATEGORICAL, tuple("abcdef")),)
+        model = grow_tree(Dataset(specs, codes[:, np.newaxis], np.repeat([1, 0], [23, 10])))
+        assert model.root.split.hd_score > SQRT2
+        restored = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert restored.root == model.root
