@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import require_int, round_half_away
+from iec.data import require_int, require_number, round_half_away
 
 
 def sigmoid(x):
@@ -100,10 +100,9 @@ class TrainConfig:
     def __post_init__(self):
         require_int("epochs", self.epochs, 1)
         require_int("seed", self.seed, 0)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
-        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ValueError("init_scale must be positive and finite")
+        for name in ("learning_rate", "init_scale"):
+            if require_number(name, getattr(self, name)) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 def hidden_neuron_count(n: int, d_m: int) -> int:
@@ -294,14 +293,11 @@ def model_to_dict(model: MlpModel) -> dict:
 
 
 def model_from_dict(d: dict) -> MlpModel:
-    if d.get("format_version") != 1:
-        raise ValueError(f"unsupported network format version {d.get('format_version')!r}")
+    require_int("format_version", d.get("format_version"), 1, 1)
     k = require_int("hidden_count", d["hidden_count"], 1)
     dim = require_int("input_dim", d["input_dim"], 1)
-    return MlpModel(
-        dim, k,
-        np.array(d["hidden_weights"], dtype=np.float64).reshape(k, dim),
-        np.array(d["hidden_biases"], dtype=np.float64),
-        np.array(d["output_weights"], dtype=np.float64),
-        float(d["output_bias"]),
-    )
+    w, b, c = (np.array([require_number(key, v) for v in d[key]], dtype=np.float64)
+               for key in ("hidden_weights", "hidden_biases", "output_weights"))
+    # A flat list of the wrong length stays flat, so MlpModel's shape check names it.
+    return MlpModel(dim, k, w.reshape(k, dim) if w.size == k * dim else w, b, c,
+                    require_number("output_bias", d["output_bias"]))

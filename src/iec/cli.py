@@ -71,7 +71,6 @@ def _build_parser():
     )
     parser.add_argument("--config", help="JSON or key=value file of flag defaults")
     commands = parser.add_subparsers(dest="command", required=True)
-    subs = {}
 
     synth = commands.add_parser("synth", help="generate an imbalanced CSV dataset")
     synth.add_argument("--n", type=int, default=1000)
@@ -82,7 +81,6 @@ def _build_parser():
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True, help="output CSV path")
     synth.set_defaults(func=cmd_synth)
-    subs["synth"] = synth
 
     train = commands.add_parser("train", help="fit the classifier and save a model")
     _add_data_flags(train)
@@ -92,7 +90,6 @@ def _build_parser():
     train.add_argument("--out", required=True, help="output model JSON path")
     train.add_argument("--format", choices=("table", "json"), default="table")
     train.set_defaults(func=cmd_train)
-    subs["train"] = train
 
     evaluate = commands.add_parser("evaluate", help="score a saved model on a CSV")
     _add_data_flags(evaluate)
@@ -101,7 +98,6 @@ def _build_parser():
                           help="evaluate a constant all-negative predictor instead")
     evaluate.add_argument("--format", choices=("table", "json"), default="table")
     evaluate.set_defaults(func=cmd_evaluate)
-    subs["evaluate"] = evaluate
 
     bench = commands.add_parser(
         "benchmark", help="compare ANN-only, HDDT-only and IEC over repeated splits")
@@ -114,9 +110,8 @@ def _build_parser():
     bench.add_argument("--format", choices=("table", "json"), default="table")
     bench.add_argument("--dump-folds", help="write per-fold metrics JSON here")
     bench.set_defaults(func=cmd_benchmark)
-    subs["benchmark"] = bench
 
-    return parser, subs
+    return parser, commands
 
 
 def _validate(args, parser):
@@ -138,8 +133,8 @@ def _validate(args, parser):
             require_protocol(args.repetitions, args.train_fraction)
     except ValueError as exc:
         parser.error(str(exc))
-    if cmd == "evaluate" and not (args.model or args.baseline):
-        parser.error("either --model or --baseline is required")
+    if cmd == "evaluate" and bool(args.model) == bool(args.baseline):
+        parser.error("give exactly one of --model and --baseline")
 
 
 def _load_dataset(args, specs=None) -> Dataset:
@@ -247,7 +242,7 @@ def cmd_benchmark(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, subs = _build_parser()
+    parser, commands = _build_parser()
 
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
@@ -255,19 +250,21 @@ def main(argv=None) -> int:
     if known.config:
         try:
             overrides = _load_config(known.config)
+            # A key may belong to any command, so one file can serve several.
+            actions = [a for sub in commands.choices.values() for a in sub._actions]
+            unknown = sorted(set(overrides).difference(a.dest for a in actions))
+            if unknown:
+                raise ValueError(f"{known.config}: config keys {unknown} name no flag")
+            # argparse applies each flag's type to a string default it falls back on,
+            # but checks no default against the flag's choices.
+            for action in (a for a in actions if a.dest in overrides):
+                value = action.default = overrides[action.dest]
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"{known.config}: {action.dest} must be one of "
+                                     f"{list(action.choices)}, got {value!r}")
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # A key may belong to any command, so one file can serve several.
-        dests = {sub: {a.dest for a in sub._actions} for sub in subs.values()}
-        unknown = sorted(set(overrides).difference(*dests.values()))
-        if unknown:
-            print(f"error: {known.config}: config keys {unknown} name no flag", file=sys.stderr)
-            return 2
-        # argparse applies each flag's type to a string default it falls back on.
-        for sub, known_dests in dests.items():
-            sub.set_defaults(**{key: value for key, value in overrides.items()
-                                if key in known_dests})
 
     try:
         args = parser.parse_args(argv)

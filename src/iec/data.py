@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -28,11 +29,24 @@ def round_half_away(x: float) -> int:
     return -int(-x + 0.5)
 
 
-def require_int(name: str, value, minimum: int):
-    """``value`` if it is an integer (not a bool) >= ``minimum``, else a ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def require_int(name: str, value, minimum: int, maximum: int | None = None):
+    """``value`` if it is an integer (not a bool) in ``minimum .. maximum``, else a
+    ValueError naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum
+            or (maximum is not None and value > maximum)):
+        bound = f">= {minimum}" if maximum is None else f"in {minimum} .. {maximum}"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
     return value
+
+
+def require_number(name: str, value, minimum: float = -math.inf) -> float:
+    """``value`` as a float if it is a finite real number (not a bool) >= ``minimum``, else
+    a ValueError naming ``name``.  The comparisons reject NaN and ints too big for a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value >= minimum and abs(value) <= sys.float_info.max)):
+        bound = "" if minimum == -math.inf else f" >= {minimum}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
 
 
 def category_codes(column, level_count: int, name) -> np.ndarray:
@@ -53,6 +67,8 @@ class FeatureSpec:
     categories: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.kind not in (CONTINUOUS, CATEGORICAL):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == CATEGORICAL and len(self.categories) < 1:
@@ -146,9 +162,11 @@ class ScalingParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingParams":
-        if list(d["columns"]) != list(range(len(d["mins"]))):
-            raise ValueError("scaling columns must be 0 .. width-1 in order")
-        return cls(tuple(float(x) for x in d["mins"]), tuple(float(x) for x in d["maxs"]))
+        mins, maxs = (tuple(require_number(f"scaling {key}", x) for x in d[key])
+                      for key in ("mins", "maxs"))
+        if [require_int("columns", c, 0) for c in d["columns"]] != list(range(len(mins))):
+            raise ValueError("columns must be 0 .. width-1 in order")
+        return cls(mins, maxs)
 
 
 def specs_to_dicts(specs) -> list[dict]:

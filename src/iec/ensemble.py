@@ -168,7 +168,8 @@ def model_to_dict(model: IecModel) -> dict:
 
 
 def model_from_dict(d: dict) -> IecModel:
-    if d.get("format_version") != 1 or d.get("kind") != "iec":
+    require_int("format_version", d.get("format_version"), 1, 1)
+    if d.get("kind") != "iec":
         raise ValueError("not a supported classifier model document")
     return IecModel(
         tree=hddt.model_from_dict(d["tree"]),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, require_int,
-                      specs_from_dicts, specs_to_dicts)
+                      require_number, specs_from_dicts, specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -87,6 +87,8 @@ class HddtModel:
 
     def __post_init__(self):
         imp = np.array(self.importances, dtype=np.float64)
+        if imp.shape != (len(self.specs),) or not (np.isfinite(imp) & (imp >= 0)).all():
+            raise ValueError(f"importances must be {len(self.specs)} finite values >= 0")
         imp.setflags(write=False)
         object.__setattr__(self, "importances", imp)
 
@@ -431,27 +433,22 @@ def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
     """One ``_nest`` entry, rejecting a node that ``predict`` could not route, naming the field."""
     counts = require_int("n_pos", d["n_pos"], 0), require_int("n_neg", d["n_neg"], 0)
     if d["kind"] == "leaf":
-        if require_int("label", d["label"], 0) > 1:
-            raise ValueError(f"label must be 0 or 1, got {d['label']!r}")
-        return Leaf(d["label"], *counts)
-    j = require_int("feature_index", d["feature_index"], 0)
-    if j >= len(specs):
-        raise ValueError(f"feature_index {j} is outside 0 .. {len(specs) - 1}")
+        return Leaf(require_int("label", d["label"], 0, 1), *counts)
+    j = require_int("feature_index", d["feature_index"], 0, len(specs) - 1)
     kind, spec = d["split_kind"], specs[j]
     if kind != (NUMERIC if spec.kind == CONTINUOUS else CATEGORICAL_SPLIT):
         raise ValueError(f"split_kind {kind!r} does not fit {spec.kind} feature {spec.name!r}")
     threshold, categories = None, ()
     if kind == NUMERIC:
-        threshold = float(d["threshold"])
-        if not math.isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {threshold}")
+        threshold = require_number("threshold", d["threshold"])
     else:
         categories = tuple(require_int("categories", c, 0) for c in d["categories"])
         if (len(categories) < 2 or len(set(categories)) != len(categories)
                 or not all(c < len(spec.categories) for c in categories)):
             raise ValueError(f"categories {list(categories)} must be at least two distinct "
                              f"codes in 0 .. {len(spec.categories) - 1} of {spec.name!r}")
-    split = SplitCandidate(j, kind, float(d["hd_score"]), threshold, categories)
+    split = SplitCandidate(j, kind, require_number("hd_score", d["hd_score"], 0.0),
+                           threshold, categories)
     return (split, *counts)
 
 
@@ -467,10 +464,9 @@ def model_to_dict(model: HddtModel) -> dict:
 
 def model_from_dict(d: dict) -> HddtModel:
     """Rebuild a tree from version 2's pre-order ``nodes`` or version 1's nested ``root``."""
-    if d.get("format_version") not in (1, 2):
-        raise ValueError(f"unsupported tree format version {d.get('format_version')!r}")
-    nodes = (d["nodes"] if d["format_version"] == 2
+    version = require_int("format_version", d.get("format_version"), 1, 2)
+    nodes = (d["nodes"] if version == 2
              else _preorder(d["root"], lambda node: node.get("children", [])))
     specs = specs_from_dicts(d["specs"])
     return HddtModel(_nest([_node_from_dict(node, specs) for node in nodes]),
-                     np.array(d["importances"], dtype=np.float64), specs)
+                     [require_number("importances", v) for v in d["importances"]], specs)

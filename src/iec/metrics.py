@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from iec.data import require_number
+
 METRIC_NAMES = ("precision", "sensitivity", "specificity", "g_mean", "auc",
                 "f_measure", "accuracy")
 
@@ -61,7 +63,7 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**{name: float(d[name]) for name in METRIC_NAMES})
+        return cls(**{name: require_number(name, d[name]) for name in METRIC_NAMES})
 
 
 def confusion(predicted, actual) -> ConfusionMatrix:

@@ -229,6 +229,16 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", True), ("learning_rate", "0.3"), ("learning_rate", math.nan),
+        ("learning_rate", 0), ("init_scale", True), ("init_scale", math.inf),
+        ("init_scale", -0.5),
+    ])
+    def test_non_number_or_non_positive_rate_and_scale_rejected(self, field, value):
+        # True passed as 1.0 and trained.
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
+
     def test_single_epoch_is_one_gradient_step(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, size=(6, 3))

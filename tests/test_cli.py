@@ -315,9 +315,29 @@ class TestEvaluate:
             0, doc["selected_features"][0] + 0.5)),
         ("d_m", lambda doc: doc.update(d_m=str(doc["d_m"]))),
         ("input_dim", lambda doc: doc["net"].update(input_dim=doc["net"]["input_dim"] + 0.9)),
+        ("format_version", lambda doc: doc.update(format_version=True)),
+        ("format_version", lambda doc: doc.update(format_version=1.0)),
+        ("format_version", lambda doc: doc["tree"].update(format_version=True)),
+        ("format_version", lambda doc: doc["tree"].update(format_version=1.0)),
+        ("format_version", lambda doc: doc["net"].update(format_version=True)),
+        ("format_version", lambda doc: doc["net"].update(format_version=1.0)),
+        ("columns", lambda doc: doc["scaling"].update(
+            columns=[float(c) for c in doc["scaling"]["columns"]])),
+        ("scaling", lambda doc: doc["scaling"]["mins"].__setitem__(0, "0.0")),
+        ("scaling", lambda doc: doc["scaling"]["mins"].__setitem__(0, False)),
+        ("importances", lambda doc: doc["tree"]["importances"].pop()),
+        ("importances", lambda doc: doc["tree"]["importances"].__setitem__(0, float("nan"))),
+        ("output_bias", lambda doc: doc["net"].update(output_bias="0.25")),
+        ("hidden_biases", lambda doc: doc["net"]["hidden_biases"].__setitem__(0, "1")),
+        ("hidden_weights", lambda doc: doc["net"]["hidden_weights"].pop()),
+        ("name", lambda doc: doc["tree"]["specs"][0].update(name=5)),
     ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
             "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min",
-            "fractional-feature", "string-d_m", "fractional-input_dim"])
+            "fractional-feature", "string-d_m", "fractional-input_dim", "bool-version",
+            "float-version", "bool-tree-version", "float-tree-version", "bool-net-version",
+            "float-net-version", "float-columns", "string-min", "bool-min",
+            "short-importances", "nan-importance", "string-output_bias",
+            "string-hidden-bias", "short-hidden_weights", "number-name"])
     def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"
@@ -354,11 +374,15 @@ class TestEvaluate:
         ("label", False, lambda nodes: nodes[1].update(label=True)),
         ("label", False, lambda nodes: nodes[1].update(label=1.0)),
         ("n_pos", False, lambda nodes: nodes[0].update(n_pos=-50)),
+        ("threshold", False, lambda nodes: nodes[0].update(threshold="1e3")),
+        ("hd_score", False, lambda nodes: nodes[0].update(hd_score=float("nan"))),
+        ("hd_score", True, lambda nodes: nodes[0].update(hd_score=-1.0)),
     ], ids=["feature-past-specs", "negative-feature", "categorical-on-continuous",
             "numeric-on-categorical", "one-numeric-child", "extra-categorical-child",
             "repeated-category", "unknown-category", "nan-threshold", "inf-threshold",
             "leaf-label-7", "leaf-label-minus-1", "fractional-feature", "bool-feature",
-            "bool-label", "float-label", "negative-n_pos"])
+            "bool-label", "float-label", "negative-n_pos", "string-threshold",
+            "nan-hd_score", "negative-hd_score"])
     def test_malformed_tree_rejected_at_load(self, tmp_path, capsys, field, categorical,
                                              tamper):
         model_path = tmp_path / "model.json"
@@ -419,6 +443,19 @@ class TestEvaluate:
         data = write_eighty_twenty_csv(tmp_path / "d.csv")
         code, _, _ = run(capsys, ["evaluate", "--data", data])
         assert code == 2
+
+    @pytest.mark.parametrize("config, flags", [
+        ({}, ["--model", "m.json", "--baseline", "constant0"]),
+        ({"baseline": "constant0"}, ["--model", "m.json"]),
+        ({"model": "m.json"}, ["--baseline", "constant0"]),
+    ], ids=["both-flags", "baseline-in-config", "model-in-config"])
+    def test_model_and_baseline_together_rejected(self, tmp_path, capsys, config, flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(capsys, ["--config", str(cfg), "evaluate",
+                                    "--data", str(tmp_path / "absent.csv"), *flags])
+        assert code == 2
+        assert "exactly one of --model and --baseline" in err and "absent.csv" not in err
 
 
 class TestBenchmark:
@@ -548,6 +585,33 @@ class TestConfigFile:
                                     "--data", str(tmp_path / "absent.csv"), *out])
         assert code == 2
         assert f"{key} must be an integer" in err
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("learning_rate", True, "learning_rate must be a finite number"),
+        ("init_scale", True, "init_scale must be a finite number"),
+        ("learning_rate", 0, "learning_rate must be positive"),
+        ("format", "xml", "format must be one of ['table', 'json'], got 'xml'"),
+    ], ids=["bool-learning_rate", "bool-init_scale", "zero-learning_rate", "xml-format"])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command, key, value,
+                                                message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = ["--out", str(tmp_path / "m.json")] if command == "train" else []
+        code, _, err = run(capsys, ["--config", str(cfg), command,
+                                    "--data", str(tmp_path / "absent.csv"), *out])
+        assert code == 2
+        assert message in err and "absent.csv" not in err
+
+    def test_null_max_depth_means_no_limit(self, tmp_path, capsys):
+        data = write_separable_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max_depth": None, "epochs": 20}))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(capsys, ["--config", str(cfg), "train", "--data", data,
+                            "--out", str(a)])[0] == 0
+        assert run(capsys, ["train", "--data", data, "--epochs", "20", "--out", str(b)])[0] == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

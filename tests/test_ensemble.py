@@ -301,6 +301,15 @@ class TestSerialization:
         assert restored.selected_features == model.selected_features
         assert restored.d_m == model.d_m
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reader_accepts_what_the_writer_writes(self, seed):
+        # The strict reader must take every document the writer emits, both kinds of split.
+        model = fit(mixed_dataset(150, seed), train_config=TrainConfig(epochs=20, seed=seed))
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        kinds = {node.get("split_kind") for node in doc["tree"]["nodes"]}
+        assert {hddt.NUMERIC, hddt.CATEGORICAL_SPLIT} <= kinds
+        assert model_to_dict(model_from_dict(doc)) == doc
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             model_from_dict({"format_version": 1, "kind": "other"})

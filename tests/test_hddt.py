@@ -658,6 +658,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             model_from_dict({"format_version": 99})
 
+    @pytest.mark.parametrize("importances", [[0.5], [0.5, math.nan], [0.5, -0.1],
+                                             [0.5, 0.0, 0.0]])
+    def test_importances_one_finite_non_negative_per_spec(self, importances):
+        specs = (FeatureSpec("x", CONTINUOUS), FeatureSpec("y", CONTINUOUS))
+        with pytest.raises(ValueError, match="importances must be 2 finite values >= 0"):
+            hddt.HddtModel(Leaf(1, 1, 0), importances, specs)
+
     def test_pure_split_scoring_above_sqrt2_round_trips(self):
         # Pure, so sqrt(2) in exact arithmetic; its float sum lands above math.sqrt(2).
         pos, neg = [0, 7, 0, 4, 4, 8], [5, 0, 5, 0, 0, 0]
