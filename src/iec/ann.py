@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import require_int, require_number, round_half_away
+from iec.data import require_int, require_number, require_numbers, round_half_away
 
 
 def sigmoid(x):
@@ -60,7 +60,8 @@ def _sigmoid(x, out, e):
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """Weights of a d_m -> k -> 1 sigmoid network."""
+    """Weights of a d_m -> k -> 1 sigmoid network.  ``hidden_weights`` is a k x d_m array,
+    or, as a model file holds it, a list of its items row by row."""
 
     input_dim: int
     hidden_count: int
@@ -70,24 +71,17 @@ class MlpModel:
     output_bias: float
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_count < 1:
-            raise ValueError("input_dim and hidden_count must be >= 1")
-        w = np.array(self.hidden_weights, dtype=np.float64)
-        b = np.array(self.hidden_biases, dtype=np.float64)
-        c = np.array(self.output_weights, dtype=np.float64)
-        if w.shape != (self.hidden_count, self.input_dim):
-            raise ValueError(f"hidden_weights must be {self.hidden_count} x {self.input_dim}")
-        if b.shape != (self.hidden_count,) or c.shape != (self.hidden_count,):
+        k = require_int("hidden_count", self.hidden_count, 1)
+        w = require_numbers("hidden_weights", self.hidden_weights,
+                            (k, require_int("input_dim", self.input_dim, 1)))
+        b = require_numbers("hidden_biases", self.hidden_biases)
+        c = require_numbers("output_weights", self.output_weights)
+        if b.shape != (k,) or c.shape != (k,):
             raise ValueError("hidden_biases and output_weights must have one entry per neuron")
-        if not (np.isfinite(w).all() and np.isfinite(b).all() and np.isfinite(c).all()
-                and math.isfinite(self.output_bias)):
-            raise ValueError("network weights must be finite")
-        for arr in (w, b, c):
+        for name, arr in (("hidden_weights", w), ("hidden_biases", b), ("output_weights", c)):
             arr.setflags(write=False)
-        object.__setattr__(self, "hidden_weights", w)
-        object.__setattr__(self, "hidden_biases", b)
-        object.__setattr__(self, "output_weights", c)
-        object.__setattr__(self, "output_bias", float(self.output_bias))
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "output_bias", require_number("output_bias", self.output_bias))
 
 
 @dataclass(frozen=True)
@@ -294,10 +288,5 @@ def model_to_dict(model: MlpModel) -> dict:
 
 def model_from_dict(d: dict) -> MlpModel:
     require_int("format_version", d.get("format_version"), 1, 1)
-    k = require_int("hidden_count", d["hidden_count"], 1)
-    dim = require_int("input_dim", d["input_dim"], 1)
-    w, b, c = (np.array([require_number(key, v) for v in d[key]], dtype=np.float64)
-               for key in ("hidden_weights", "hidden_biases", "output_weights"))
-    # A flat list of the wrong length stays flat, so MlpModel's shape check names it.
-    return MlpModel(dim, k, w.reshape(k, dim) if w.size == k * dim else w, b, c,
-                    require_number("output_bias", d["output_bias"]))
+    return MlpModel(d["input_dim"], d["hidden_count"], d["hidden_weights"],
+                    d["hidden_biases"], d["output_weights"], d["output_bias"])

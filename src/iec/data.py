@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import reprlib
 import sys
 from array import array
 from dataclasses import dataclass
@@ -39,14 +40,35 @@ def require_int(name: str, value, minimum: int, maximum: int | None = None):
     return value
 
 
-def require_number(name: str, value, minimum: float = -math.inf) -> float:
-    """``value`` as a float if it is a finite real number (not a bool) >= ``minimum``, else
-    a ValueError naming ``name``.  The comparisons reject NaN and ints too big for a float."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (value >= minimum and abs(value) <= sys.float_info.max)):
-        bound = "" if minimum == -math.inf else f" >= {minimum}"
+def _is_number(value, minimum: float = -math.inf, maximum: float = math.inf) -> bool:
+    """Whether ``value`` is a real in ``minimum .. maximum``, not a bool, NaN or beyond a float."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and minimum <= value <= maximum and abs(value) <= sys.float_info.max)
+
+
+def require_number(name: str, value, minimum: float = -math.inf,
+                   maximum: float = math.inf) -> float:
+    """``value`` as a float if it is a finite real number (not a bool) in ``minimum ..
+    maximum``, else a ValueError naming ``name``."""
+    if not _is_number(value, minimum, maximum):
+        bound = (f" in {minimum} .. {maximum}" if maximum < math.inf
+                 else f" >= {minimum}" if minimum > -math.inf else "")
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
     return float(value)
+
+
+def require_numbers(name: str, values, shape=None, minimum: float = -math.inf) -> np.ndarray:
+    """``values`` as a float64 array of ``shape`` (default: one axis), from a list, tuple or
+    array of that shape or of its items row by row; each item must be a finite real (not a
+    bool) >= ``minimum``, else a ValueError naming ``name``."""
+    items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    if isinstance(items, (list, tuple)) and all(_is_number(v, minimum) for v in items):
+        want = shape or (len(items),)
+        if np.shape(values) in (want, (math.prod(want),)):
+            return np.array(items, dtype=np.float64).reshape(want)
+    size = " x ".join(map(str, shape)) + " " if shape else ""
+    bound = f" >= {minimum:g}" if minimum > -math.inf else ""
+    raise ValueError(f"{name} must be {size}finite values{bound}, got {reprlib.repr(values)}")
 
 
 def category_codes(column, level_count: int, name) -> np.ndarray:
@@ -69,14 +91,14 @@ class FeatureSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        if self.kind not in (CONTINUOUS, CATEGORICAL):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.kind == CATEGORICAL and len(self.categories) < 1:
-            raise ValueError(f"categorical feature {self.name!r} needs at least one category")
-        if self.kind == CONTINUOUS and self.categories:
-            raise ValueError(f"continuous feature {self.name!r} cannot carry categories")
-        if len(set(self.categories)) != len(self.categories):
-            raise ValueError(f"duplicate categories in feature {self.name!r}")
+        cats = self.categories
+        if not (isinstance(cats, (list, tuple)) and all(isinstance(c, str) for c in cats)
+                and len(set(cats)) == len(cats)):
+            raise ValueError(f"categories of {self.name!r} must be distinct strings, got {cats!r}")
+        object.__setattr__(self, "categories", tuple(cats))
+        if (self.kind, bool(cats)) not in ((CONTINUOUS, False), (CATEGORICAL, True)):
+            raise ValueError(f"kind of {self.name!r} must be 'continuous' with no categories or "
+                             f"'categorical' with some, got {self.kind!r} with {len(cats)}")
 
 
 @dataclass(frozen=True)
@@ -144,13 +166,12 @@ class ScalingParams:
     maxs: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.mins) != len(self.maxs):
-            raise ValueError("mins and maxs must be parallel")
-        for j, (lo, hi) in enumerate(zip(self.mins, self.maxs)):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"scaling column {j}: min {lo} and max {hi} must be finite")
-            if hi < lo:
-                raise ValueError("max must be >= min")
+        mins = require_numbers("scaling mins", self.mins)
+        maxs = require_numbers("scaling maxs", self.maxs, mins.shape)
+        if (maxs < mins).any():
+            raise ValueError("scaling max must be >= min")
+        object.__setattr__(self, "mins", tuple(mins.tolist()))
+        object.__setattr__(self, "maxs", tuple(maxs.tolist()))
 
     def to_dict(self) -> dict:
         # "columns" is kept in the model file for format_version 1 readers.
@@ -162,11 +183,10 @@ class ScalingParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingParams":
-        mins, maxs = (tuple(require_number(f"scaling {key}", x) for x in d[key])
-                      for key in ("mins", "maxs"))
-        if [require_int("columns", c, 0) for c in d["columns"]] != list(range(len(mins))):
+        params = cls(d["mins"], d["maxs"])
+        if [require_int("columns", c, 0) for c in d["columns"]] != list(range(len(params.mins))):
             raise ValueError("columns must be 0 .. width-1 in order")
-        return cls(mins, maxs)
+        return params
 
 
 def specs_to_dicts(specs) -> list[dict]:
@@ -174,7 +194,7 @@ def specs_to_dicts(specs) -> list[dict]:
 
 
 def specs_from_dicts(items) -> tuple[FeatureSpec, ...]:
-    return tuple(FeatureSpec(d["name"], d["kind"], tuple(d["categories"])) for d in items)
+    return tuple(FeatureSpec(d["name"], d["kind"], d["categories"]) for d in items)
 
 
 def load_csv(path, label_column: str, positive_label: str,
@@ -262,8 +282,7 @@ def load_csv(path, label_column: str, positive_label: str,
 def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:
     """Fit min/max over every column of a plain numeric matrix."""
     x = np.asarray(x, dtype=np.float64)
-    return ScalingParams(tuple(float(v) for v in x.min(axis=0)),
-                         tuple(float(v) for v in x.max(axis=0)))
+    return ScalingParams(x.min(axis=0), x.max(axis=0))
 
 
 def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
@@ -337,7 +356,7 @@ def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Data
 def require_protocol(repetitions, train_fraction) -> None:
     """Reject a repetition count that is not an integer >= 1 or a train fraction outside (0, 1)."""
     require_int("repetitions", repetitions, 1)
-    if not 0.0 < train_fraction < 1.0:
+    if not 0.0 < require_number("train_fraction", train_fraction) < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
 
@@ -362,10 +381,11 @@ def synth_generate(n: int, informative: int, noise: int, minority_fraction: floa
     round(n * minority_fraction).
     """
     require_int("n", n, 10)
-    if not 0.0 < minority_fraction < 0.5:
+    if not 0.0 < require_number("minority_fraction", minority_fraction) < 0.5:
         raise ValueError(f"minority_fraction must be in (0, 0.5), got {minority_fraction}")
     require_int("informative", informative, 1)
     require_int("noise", noise, 0)
+    require_number("separation", separation)
 
     n_pos = round_half_away(n * minority_fraction)
     if n_pos < 1:

@@ -36,24 +36,18 @@ class IecModel:
     d_m: int
 
     def __post_init__(self):
-        if not self.selected_features:
-            raise ValueError("selected_features cannot be empty")
-        specs = self.tree.specs
-        if (len(set(self.selected_features)) != len(self.selected_features)
-                or not all(0 <= j < len(specs) for j in self.selected_features)):
-            raise ValueError(f"selected_features must be distinct indices in "
-                             f"0 .. {len(specs) - 1}")
-        width = 1 + sum(_width(specs[j]) for j in self.selected_features)
-        if self.d_m != width:
-            raise ValueError(f"d_m is {self.d_m} but the selected features and the "
-                             f"OP column give {width} network inputs")
-        if len(self.scaling.mins) != self.d_m:
-            raise ValueError(f"scaling has {len(self.scaling.mins)} columns but d_m "
-                             f"is {self.d_m}")
-        if self.net.input_dim != self.d_m:
-            raise ValueError(
-                f"network expects {self.net.input_dim} inputs but d_m is {self.d_m}"
-            )
+        specs, selected = self.tree.specs, self.selected_features
+        if not isinstance(selected, (list, tuple)) or not selected:
+            raise ValueError(f"selected_features must be a non-empty list, got {selected!r}")
+        selected = tuple(require_int("selected_features", j, 0, len(specs) - 1) for j in selected)
+        if len(set(selected)) != len(selected):
+            raise ValueError(f"selected_features must be distinct, got {list(selected)}")
+        object.__setattr__(self, "selected_features", selected)
+        # d_m, the scaling and the network each span the selected features' columns and OP.
+        width = 1 + sum(_width(specs[j]) for j in selected)
+        for name, n in (("d_m", self.d_m), ("scaling width", len(self.scaling.mins)),
+                        ("input_dim", self.net.input_dim)):
+            require_int(name, n, width, width)
 
 
 def _width(spec) -> int:
@@ -171,11 +165,6 @@ def model_from_dict(d: dict) -> IecModel:
     require_int("format_version", d.get("format_version"), 1, 1)
     if d.get("kind") != "iec":
         raise ValueError("not a supported classifier model document")
-    return IecModel(
-        tree=hddt.model_from_dict(d["tree"]),
-        selected_features=tuple(require_int("selected_features", j, 0)
-                                for j in d["selected_features"]),
-        scaling=ScalingParams.from_dict(d["scaling"]),
-        net=ann.model_from_dict(d["net"]),
-        d_m=require_int("d_m", d["d_m"], 1),
-    )
+    return IecModel(hddt.model_from_dict(d["tree"]), d["selected_features"],
+                    ScalingParams.from_dict(d["scaling"]), ann.model_from_dict(d["net"]),
+                    d["d_m"])

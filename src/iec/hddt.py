@@ -26,12 +26,13 @@ one ``bincount``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, require_int,
-                      require_number, specs_from_dicts, specs_to_dicts)
+                      require_number, require_numbers, specs_from_dicts, specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -86,9 +87,7 @@ class HddtModel:
     specs: tuple[FeatureSpec, ...]
 
     def __post_init__(self):
-        imp = np.array(self.importances, dtype=np.float64)
-        if imp.shape != (len(self.specs),) or not (np.isfinite(imp) & (imp >= 0)).all():
-            raise ValueError(f"importances must be {len(self.specs)} finite values >= 0")
+        imp = require_numbers("importances", self.importances, (len(self.specs),), 0.0)
         imp.setflags(write=False)
         object.__setattr__(self, "importances", imp)
 
@@ -99,12 +98,14 @@ def hellinger_split_score(partition_counts) -> float:
     Requires at least two partitions and at least one example of each class in
     the node overall; individual partitions may be pure or empty of one class.
     """
-    counts = np.array([(int(p), int(n)) for p, n in partition_counts], dtype=np.int64)
-    if len(counts) < 2:
+    pairs = [(p, n) for p, n in partition_counts]
+    if len(pairs) < 2:
         raise ValueError("a split needs at least two partitions")
-    if (counts < 0).any():
-        raise ValueError("partition counts cannot be negative")
-    return _hellinger(counts[:, 0], counts[:, 1])
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0
+           for pair in pairs for v in pair):
+        raise ValueError(f"partition counts must be non-negative integers, got {pairs}")
+    pos, neg = np.array(pairs, dtype=np.int64).T
+    return _hellinger(pos, neg)
 
 
 def _hellinger(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -434,6 +435,8 @@ def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
     counts = require_int("n_pos", d["n_pos"], 0), require_int("n_neg", d["n_neg"], 0)
     if d["kind"] == "leaf":
         return Leaf(require_int("label", d["label"], 0, 1), *counts)
+    if d["kind"] != "split":
+        raise ValueError(f"kind must be 'leaf' or 'split', got {d['kind']!r}")
     j = require_int("feature_index", d["feature_index"], 0, len(specs) - 1)
     kind, spec = d["split_kind"], specs[j]
     if kind != (NUMERIC if spec.kind == CONTINUOUS else CATEGORICAL_SPLIT):
@@ -469,4 +472,4 @@ def model_from_dict(d: dict) -> HddtModel:
              else _preorder(d["root"], lambda node: node.get("children", [])))
     specs = specs_from_dicts(d["specs"])
     return HddtModel(_nest([_node_from_dict(node, specs) for node in nodes]),
-                     [require_number("importances", v) for v in d["importances"]], specs)
+                     d["importances"], specs)

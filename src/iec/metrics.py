@@ -9,6 +9,7 @@ is zero evaluates to 0, the pessimistic convention for imbalanced data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,10 @@ class ConfusionMatrix:
     fn: int
 
     def __post_init__(self):
-        cells = (self.tp, self.fp, self.tn, self.fn)
-        if any(int(v) != v or v < 0 for v in cells):
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0
+               for v in (self.tp, self.fp, self.tn, self.fn)):
             raise ValueError("confusion counts must be non-negative integers")
-        if sum(cells) < 1:
+        if self.total < 1:
             raise ValueError("confusion matrix must cover at least one row")
 
     @property
@@ -54,16 +55,14 @@ class MetricsReport:
 
     def __post_init__(self):
         for name in METRIC_NAMES:
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            require_number(name, getattr(self, name), 0.0, 1.0)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**{name: require_number(name, d[name]) for name in METRIC_NAMES})
+        return cls(**{name: d[name] for name in METRIC_NAMES})
 
 
 def confusion(predicted, actual) -> ConfusionMatrix:

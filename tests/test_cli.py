@@ -331,13 +331,25 @@ class TestEvaluate:
         ("hidden_biases", lambda doc: doc["net"]["hidden_biases"].__setitem__(0, "1")),
         ("hidden_weights", lambda doc: doc["net"]["hidden_weights"].pop()),
         ("name", lambda doc: doc["tree"]["specs"][0].update(name=5)),
+        # Feature y is never selected, so as a categorical feature it reaches no check but
+        # its spec's own.
+        ("categories", lambda doc: doc["tree"]["specs"][1].update(kind="categorical",
+                                                                  categories="rgb")),
+        ("categories", lambda doc: doc["tree"]["specs"][1].update(kind="categorical",
+                                                                  categories=[5, 6, 7])),
+        ("importances", lambda doc: doc["tree"].update(importances=5)),
+        ("selected_features", lambda doc: doc.update(selected_features=0)),
+        ("scaling", lambda doc: doc["scaling"].update(mins=0.0)),
+        ("hidden_weights", lambda doc: doc["net"].update(hidden_weights=0.5)),
     ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
             "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min",
             "fractional-feature", "string-d_m", "fractional-input_dim", "bool-version",
             "float-version", "bool-tree-version", "float-tree-version", "bool-net-version",
             "float-net-version", "float-columns", "string-min", "bool-min",
             "short-importances", "nan-importance", "string-output_bias",
-            "string-hidden-bias", "short-hidden_weights", "number-name"])
+            "string-hidden-bias", "short-hidden_weights", "number-name",
+            "string-categories", "number-categories", "scalar-importances",
+            "scalar-selected_features", "scalar-mins", "scalar-hidden_weights"])
     def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"
@@ -377,12 +389,13 @@ class TestEvaluate:
         ("threshold", False, lambda nodes: nodes[0].update(threshold="1e3")),
         ("hd_score", False, lambda nodes: nodes[0].update(hd_score=float("nan"))),
         ("hd_score", True, lambda nodes: nodes[0].update(hd_score=-1.0)),
+        ("kind", False, lambda nodes: nodes[0].update(kind="foo")),
     ], ids=["feature-past-specs", "negative-feature", "categorical-on-continuous",
             "numeric-on-categorical", "one-numeric-child", "extra-categorical-child",
             "repeated-category", "unknown-category", "nan-threshold", "inf-threshold",
             "leaf-label-7", "leaf-label-minus-1", "fractional-feature", "bool-feature",
             "bool-label", "float-label", "negative-n_pos", "string-threshold",
-            "nan-hd_score", "negative-hd_score"])
+            "nan-hd_score", "negative-hd_score", "kind-foo"])
     def test_malformed_tree_rejected_at_load(self, tmp_path, capsys, field, categorical,
                                              tamper):
         model_path = tmp_path / "model.json"
@@ -427,8 +440,9 @@ class TestEvaluate:
         ("feature_index", lambda root: root.update(feature_index=99)),
         ("categories", lambda root: root["children"][1].update(categories=[0, 0, 1])),
         ("label", lambda root: root["children"][0].update(label=7)),
+        ("kind", lambda root: root["children"][1].update(kind="foo")),
     ], ids=["dropped-child", "extra-child", "feature-past-specs", "repeated-category",
-            "leaf-label-7"])
+            "leaf-label-7", "kind-foo"])
     def test_malformed_v1_tree_rejected_at_load(self, tmp_path, capsys, field, tamper):
         doc = json.loads(V1_MODEL.read_text())
         tamper(doc["tree"]["root"])
@@ -602,6 +616,20 @@ class TestConfigFile:
                                     "--data", str(tmp_path / "absent.csv"), *out])
         assert code == 2
         assert message in err and "absent.csv" not in err
+
+    @pytest.mark.parametrize("command, key, message", [
+        ("benchmark", "train_fraction", "train_fraction must be a finite number, got None"),
+        ("synth", "minority", "minority_fraction must be a finite number, got None"),
+        ("synth", "separation", "separation must be a finite number, got None"),
+    ])
+    def test_null_number_is_usage_error(self, tmp_path, capsys, command, key, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: None}))
+        out = tmp_path / "x.csv"
+        flags = ["--out", str(out)] if command == "synth" else ["--data", str(out)]
+        code, _, err = run(capsys, ["--config", str(cfg), command, *flags])
+        assert code == 2
+        assert message in err and "x.csv" not in err and not out.exists()
 
     def test_null_max_depth_means_no_limit(self, tmp_path, capsys):
         data = write_separable_csv(tmp_path / "d.csv")

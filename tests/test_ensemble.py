@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from iec import ann, hddt
-from iec.ann import TrainConfig
-from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, min_max_apply_matrix,
-                      min_max_fit_matrix, synth_generate)
+from iec.ann import MlpModel, TrainConfig
+from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, ScalingParams,
+                      min_max_apply_matrix, min_max_fit_matrix, synth_generate)
 from iec.ensemble import (IecModel, fit, model_from_dict, model_to_dict, network_input,
                           predict, run_benchmark)
-from iec.hddt import Leaf
+from iec.hddt import Leaf, hellinger_split_score
+from iec.metrics import ConfusionMatrix, MetricsReport
 
 
 def continuous_dataset(rows, labels, names=None):
@@ -322,3 +323,38 @@ class TestSerialization:
                      model.net, model.d_m + 1)
         with pytest.raises(ValueError, match="selected_features"):
             IecModel(model.tree, (), model.scaling, model.net, model.d_m)
+
+    # Each constructor owns its fields' rules, so an object built in code meets the
+    # rules a loaded model file meets.
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FeatureSpec("c", CATEGORICAL, "rgb"), "categories of 'c' must be"),
+        (lambda: FeatureSpec("c", CATEGORICAL, (1, 2)), "categories of 'c' must be"),
+        (lambda: MlpModel(1.0, 1, np.zeros((1, 1)), np.zeros(1), np.zeros(1), 0.0),
+         "input_dim must be an integer"),
+        (lambda: MlpModel(True, 1, np.zeros((1, 1)), np.zeros(1), np.zeros(1), 0.0),
+         "input_dim must be an integer"),
+        (lambda: MlpModel(1, 1, np.zeros((1, 1)), [True], np.zeros(1), 0.0),
+         "hidden_biases must be"),
+        (lambda: ScalingParams(("a",), (1.0,)), "scaling mins must be"),
+        (lambda: ScalingParams(0.0, (1.0,)), "scaling mins must be"),
+        (lambda: MetricsReport("0.5", 0.5, 0.5, 0.5, 0.5, 0.5, 0.5), "precision must be"),
+        (lambda: ConfusionMatrix(2.0, 0, 1, 0), "non-negative integers"),
+        (lambda: ConfusionMatrix(True, 0, 1, 0), "non-negative integers"),
+        (lambda: hellinger_split_score([(1.5, 2), (2, 1)]), "non-negative integers"),
+        (lambda: hellinger_split_score([(True, 2), (2, 1)]), "non-negative integers"),
+    ], ids=["string-categories", "number-categories", "float-input_dim", "bool-input_dim",
+            "bool-hidden-bias", "string-min", "scalar-mins", "string-metric", "float-count",
+            "bool-count", "float-partition-count", "bool-partition-count"])
+    def test_objects_built_in_code_meet_the_readers_rules(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_scalar_selected_features_rejected(self):
+        model = fit(separable_dataset(), train_config=TrainConfig(epochs=10))
+        with pytest.raises(ValueError, match="selected_features must be a non-empty list"):
+            IecModel(model.tree, 0, model.scaling, model.net, model.d_m)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert ConfusionMatrix(np.int64(2), 0, np.int32(1), 0).total == 3
+        assert (hellinger_split_score([(np.int64(1), 2), (2, np.uint8(1))])
+                == hellinger_split_score([(1, 2), (2, 1)]))
