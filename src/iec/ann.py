@@ -227,6 +227,7 @@ def init_model(d_m: int, k: int, seed: int, init_scale: float = 0.5) -> MlpModel
     Draw order: hidden weights (k x d_m), hidden biases, output weights,
     output bias.
     """
+    d_m, k = require_int("input_dim", d_m, 1), require_int("hidden_count", k, 1)
     rng = np.random.default_rng(seed)
     return MlpModel(
         input_dim=d_m,
@@ -250,8 +251,6 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
         raise ValueError("training rows must form a 2-d matrix")
     if y.shape != (x.shape[0],):
         raise ValueError("one target per training row required")
-    if k < 1:
-        raise ValueError("hidden neuron count must be >= 1")
 
     start = init_model(x.shape[1], k, config.seed, config.init_scale)
     w = start.hidden_weights.copy()

@@ -50,6 +50,7 @@ def _add_data_flags(sub):
     sub.add_argument("--positive", default="1", help="label value of the positive class")
     sub.add_argument("--categorical", default="",
                      help="comma-separated categorical column names")
+    sub.add_argument("--format", choices=("table", "json"), default="table")
 
 
 def _add_tree_flags(sub):
@@ -88,7 +89,6 @@ def _build_parser():
     _add_train_flags(train)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True, help="output model JSON path")
-    train.add_argument("--format", choices=("table", "json"), default="table")
     train.set_defaults(func=cmd_train)
 
     evaluate = commands.add_parser("evaluate", help="score a saved model on a CSV")
@@ -96,7 +96,6 @@ def _build_parser():
     evaluate.add_argument("--model", help="model JSON path")
     evaluate.add_argument("--baseline", choices=("constant0",),
                           help="evaluate a constant all-negative predictor instead")
-    evaluate.add_argument("--format", choices=("table", "json"), default="table")
     evaluate.set_defaults(func=cmd_evaluate)
 
     bench = commands.add_parser(
@@ -107,7 +106,6 @@ def _build_parser():
     bench.add_argument("--repetitions", type=int, default=5)
     bench.add_argument("--train-fraction", type=float, default=0.7)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--format", choices=("table", "json"), default="table")
     bench.add_argument("--dump-folds", help="write per-fold metrics JSON here")
     bench.set_defaults(func=cmd_benchmark)
 
@@ -142,23 +140,26 @@ def _load_dataset(args, specs=None) -> Dataset:
     return load_csv(args.data, args.label_col, args.positive, categorical, specs)
 
 
-def cmd_synth(args) -> int:
+def _write_json(path: str, doc) -> None:
+    # Built before the file is opened, so a failure keeps the previous file.
+    text = json.dumps(doc, indent=2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def cmd_synth(args):
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([s.name for s in args.dataset.specs] + ["class"])
         for row, label in zip(args.dataset.rows, args.dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-    print(f"wrote {args.dataset.n} rows x {args.dataset.p} features to {args.out}")
-    return 0
+    return None, [f"wrote {args.dataset.n} rows x {args.dataset.p} features to {args.out}"]
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
     dataset = _load_dataset(args)
     model = ensemble.fit(dataset, args.tree_config, args.train_config)
-    # Built before the file is opened, so a failure keeps the previous file.
-    text = json.dumps(ensemble.model_to_dict(model), indent=2)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_json(args.out, ensemble.model_to_dict(model))
 
     preds = ensemble.predict(model, dataset.rows)
     train_report = metrics.report(metrics.confusion(preds, dataset.labels))
@@ -171,18 +172,12 @@ def cmd_train(args) -> int:
         "k": model.net.hidden_count,
         "train_metrics": train_report.to_dict(),
     }
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"selected features: {', '.join(selected_names)}")
-        print(f"n_train: {dataset.n}")
-        print(f"d_m: {model.d_m}")
-        print(f"k: {model.net.hidden_count}")
-        print(metrics.format_table([("IEC (train)", train_report)]))
-    return 0
+    return summary, [f"selected features: {', '.join(selected_names)}",
+                     f"n_train: {dataset.n}", f"d_m: {model.d_m}", f"k: {model.net.hidden_count}",
+                     metrics.format_table([("IEC (train)", train_report)])]
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     if args.baseline == "constant0":
         name = "constant0"
         dataset = _load_dataset(args)
@@ -198,21 +193,16 @@ def cmd_evaluate(args) -> int:
     cm = metrics.confusion(preds, dataset.labels)
     rep = metrics.report(cm)
     flagged = metrics.zero_denominator_metrics(cm)
-    if args.format == "json":
-        print(json.dumps({
-            "classifier": name,
-            "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
-            "metrics": rep.to_dict(),
-            "zero_denominator": list(flagged),
-        }, indent=2))
-    else:
-        print(metrics.format_table([(name, rep)]))
-        if flagged:
-            print(f"note: zero denominator forced 0 for: {', '.join(flagged)}")
-    return 0
+    note = [f"note: zero denominator forced 0 for: {', '.join(flagged)}"] if flagged else []
+    return {
+        "classifier": name,
+        "confusion": {"tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn},
+        "metrics": rep.to_dict(),
+        "zero_denominator": list(flagged),
+    }, [metrics.format_table([(name, rep)]), *note]
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args):
     dataset = _load_dataset(args)
     results = run_benchmark(dataset, args.repetitions, args.train_fraction,
                             args.seed, args.tree_config, args.train_config)
@@ -220,25 +210,16 @@ def cmd_benchmark(args) -> int:
     mean_dicts = {name: rep.to_dict() for name, rep in means.items()}
 
     if args.dump_folds:
-        with open(args.dump_folds, "w", encoding="utf-8") as fh:
-            json.dump({
-                "repetitions": args.repetitions,
-                "train_fraction": args.train_fraction,
-                "seed": args.seed,
-                "folds": {name: [r.to_dict() for r in reports]
-                          for name, reports in results.items()},
-                "means": mean_dicts,
-            }, fh, indent=2)
-            fh.write("\n")
-
-    if args.format == "json":
-        print(json.dumps({
+        _write_json(args.dump_folds, {
             "repetitions": args.repetitions,
+            "train_fraction": args.train_fraction,
+            "seed": args.seed,
+            "folds": {name: [r.to_dict() for r in reports]
+                      for name, reports in results.items()},
             "means": mean_dicts,
-        }, indent=2))
-    else:
-        print(metrics.format_table(list(means.items())))
-    return 0
+        })
+    return ({"repetitions": args.repetitions, "means": mean_dicts},
+            [metrics.format_table(list(means.items()))])
 
 
 def main(argv=None) -> int:
@@ -255,13 +236,19 @@ def main(argv=None) -> int:
             unknown = sorted(set(overrides).difference(a.dest for a in actions))
             if unknown:
                 raise ValueError(f"{known.config}: config keys {unknown} name no flag")
-            # argparse applies each flag's type to a string default it falls back on,
-            # but checks no default against the flag's choices.
+            # argparse applies each flag's type to a string default it falls back on, but
+            # checks no default against the flag's choices.  A flag with no type keeps its
+            # default as given, so that must be text, or null where the default is none.
             for action in (a for a in actions if a.dest in overrides):
-                value = action.default = overrides[action.dest]
+                value = overrides[action.dest]
+                if (action.type is None and not isinstance(value, str)
+                        and value is not action.default):
+                    raise ValueError(f"{known.config}: {action.dest} must be a string, "
+                                     f"got {value!r}")
                 if action.choices is not None and value not in action.choices:
                     raise ValueError(f"{known.config}: {action.dest} must be one of "
                                      f"{list(action.choices)}, got {value!r}")
+                action.default = value
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -269,7 +256,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate(args, parser)
-        return args.func(args)
+        document, lines = args.func(args)  # synth has no --format and no document
+        print("\n".join(lines) if document is None or args.format == "table"
+              else json.dumps(document, indent=2))
+        return 0
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     except Exception as exc:

@@ -40,6 +40,14 @@ def require_int(name: str, value, minimum: int, maximum: int | None = None):
     return value
 
 
+def require_list(name: str, value, nonempty: bool = False):
+    """``value`` if it is a list or tuple, non-empty if ``nonempty``, else a ValueError."""
+    if not isinstance(value, (list, tuple)) or (nonempty and not value):
+        what = "non-empty list" if nonempty else "list"
+        raise ValueError(f"{name} must be a {what}, got {reprlib.repr(value)}")
+    return value
+
+
 def _is_number(value, minimum: float = -math.inf, maximum: float = math.inf) -> bool:
     """Whether ``value`` is a real in ``minimum .. maximum``, not a bool, NaN or beyond a float."""
     return (not isinstance(value, bool) and isinstance(value, numbers.Real)
@@ -184,7 +192,8 @@ class ScalingParams:
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingParams":
         params = cls(d["mins"], d["maxs"])
-        if [require_int("columns", c, 0) for c in d["columns"]] != list(range(len(params.mins))):
+        columns = require_list("columns", d["columns"])
+        if [require_int("columns", c, 0) for c in columns] != list(range(len(params.mins))):
             raise ValueError("columns must be 0 .. width-1 in order")
         return params
 

@@ -21,7 +21,7 @@ from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes,
                       min_max_apply_matrix, min_max_fit_matrix, repeated_eval_protocol,
-                      require_int)
+                      require_int, require_list)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -37,9 +37,8 @@ class IecModel:
 
     def __post_init__(self):
         specs, selected = self.tree.specs, self.selected_features
-        if not isinstance(selected, (list, tuple)) or not selected:
-            raise ValueError(f"selected_features must be a non-empty list, got {selected!r}")
-        selected = tuple(require_int("selected_features", j, 0, len(specs) - 1) for j in selected)
+        selected = tuple(require_int("selected_features", j, 0, len(specs) - 1)
+                         for j in require_list("selected_features", selected, nonempty=True))
         if len(set(selected)) != len(selected):
             raise ValueError(f"selected_features must be distinct, got {list(selected)}")
         object.__setattr__(self, "selected_features", selected)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, require_int,
-                      require_number, require_numbers, specs_from_dicts, specs_to_dicts)
+                      require_list, require_number, require_numbers, specs_from_dicts,
+                      specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -445,7 +446,8 @@ def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
     if kind == NUMERIC:
         threshold = require_number("threshold", d["threshold"])
     else:
-        categories = tuple(require_int("categories", c, 0) for c in d["categories"])
+        categories = tuple(require_int("categories", c, 0)
+                           for c in require_list("categories", d["categories"]))
         if (len(categories) < 2 or len(set(categories)) != len(categories)
                 or not all(c < len(spec.categories) for c in categories)):
             raise ValueError(f"categories {list(categories)} must be at least two distinct "
@@ -470,6 +472,6 @@ def model_from_dict(d: dict) -> HddtModel:
     version = require_int("format_version", d.get("format_version"), 1, 2)
     nodes = (d["nodes"] if version == 2
              else _preorder(d["root"], lambda node: node.get("children", [])))
-    specs = specs_from_dicts(d["specs"])
+    specs = specs_from_dicts(require_list("specs", d["specs"]))
     return HddtModel(_nest([_node_from_dict(node, specs) for node in nodes]),
                      d["importances"], specs)

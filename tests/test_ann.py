@@ -331,6 +331,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="finite"):
             MlpModel(1, 1, np.array([[np.nan]]), np.zeros(1), np.zeros(1), 0.0)
 
+    @pytest.mark.parametrize("d_m, k, field", [
+        (-1, 2, "input_dim"), (2, -1, "hidden_count"), (2, 1.5, "hidden_count")])
+    def test_dimensions_checked_before_the_first_draw(self, d_m, k, field):
+        # A negative size failed inside numpy's draw, naming neither field.
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            init_model(d_m, k, seed=0)
+
     def test_weights_immutable(self):
         model = init_model(2, 2, seed=0)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iec import ensemble
+from iec import cli, ensemble
 from iec.ann import hidden_neuron_count
 from iec.cli import main
 from iec.data import load_csv
@@ -341,6 +342,8 @@ class TestEvaluate:
         ("selected_features", lambda doc: doc.update(selected_features=0)),
         ("scaling", lambda doc: doc["scaling"].update(mins=0.0)),
         ("hidden_weights", lambda doc: doc["net"].update(hidden_weights=0.5)),
+        ("columns", lambda doc: doc["scaling"].update(columns=5)),
+        ("specs", lambda doc: doc["tree"].update(specs=5)),
     ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
             "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min",
             "fractional-feature", "string-d_m", "fractional-input_dim", "bool-version",
@@ -349,7 +352,8 @@ class TestEvaluate:
             "short-importances", "nan-importance", "string-output_bias",
             "string-hidden-bias", "short-hidden_weights", "number-name",
             "string-categories", "number-categories", "scalar-importances",
-            "scalar-selected_features", "scalar-mins", "scalar-hidden_weights"])
+            "scalar-selected_features", "scalar-mins", "scalar-hidden_weights",
+            "scalar-columns", "scalar-specs"])
     def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"
@@ -390,12 +394,13 @@ class TestEvaluate:
         ("hd_score", False, lambda nodes: nodes[0].update(hd_score=float("nan"))),
         ("hd_score", True, lambda nodes: nodes[0].update(hd_score=-1.0)),
         ("kind", False, lambda nodes: nodes[0].update(kind="foo")),
+        ("categories", True, lambda nodes: nodes[0].update(categories=5)),
     ], ids=["feature-past-specs", "negative-feature", "categorical-on-continuous",
             "numeric-on-categorical", "one-numeric-child", "extra-categorical-child",
             "repeated-category", "unknown-category", "nan-threshold", "inf-threshold",
             "leaf-label-7", "leaf-label-minus-1", "fractional-feature", "bool-feature",
             "bool-label", "float-label", "negative-n_pos", "string-threshold",
-            "nan-hd_score", "negative-hd_score", "kind-foo"])
+            "nan-hd_score", "negative-hd_score", "kind-foo", "scalar-categories"])
     def test_malformed_tree_rejected_at_load(self, tmp_path, capsys, field, categorical,
                                              tamper):
         model_path = tmp_path / "model.json"
@@ -505,6 +510,19 @@ class TestBenchmark:
                 assert doc["means"][name][metric] == mean
                 assert printed[name][metric] == mean
 
+    def test_failed_dump_keeps_previous_file(self, tmp_path, capsys, monkeypatch):
+        def fail(self, o, _one_shot=False):
+            raise ValueError("dump cannot be encoded")
+
+        data = write_separable_csv(tmp_path / "d.csv", n=40)
+        dump = tmp_path / "folds.json"
+        dump.write_bytes(b"previous dump\n")
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", fail)
+        code, _, err = run(capsys, self.bench_args(data, ["--dump-folds", str(dump)]))
+        assert code == 1
+        assert "dump cannot be encoded" in err
+        assert dump.read_bytes() == b"previous dump\n"
+
     def test_bad_repetitions(self, tmp_path, capsys):
         data = write_separable_csv(tmp_path / "d.csv", n=40)
         code, _, err = run(capsys, ["benchmark", "--data", data,
@@ -606,7 +624,14 @@ class TestConfigFile:
         ("init_scale", True, "init_scale must be a finite number"),
         ("learning_rate", 0, "learning_rate must be positive"),
         ("format", "xml", "format must be one of ['table', 'json'], got 'xml'"),
-    ], ids=["bool-learning_rate", "bool-init_scale", "zero-learning_rate", "xml-format"])
+        ("positive", 1, "positive must be a string, got 1"),
+        ("positive", None, "positive must be a string, got None"),
+        ("label_col", 5, "label_col must be a string, got 5"),
+        ("categorical", 5, "categorical must be a string, got 5"),
+        ("dump_folds", 1, "dump_folds must be a string, got 1"),
+    ], ids=["bool-learning_rate", "bool-init_scale", "zero-learning_rate", "xml-format",
+            "number-positive", "null-positive", "number-label_col", "number-categorical",
+            "number-dump_folds"])
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command, key, value,
                                                 message):
         cfg = tmp_path / "run.json"
@@ -666,3 +691,15 @@ class TestTopLevel:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "synth" in out and "benchmark" in out
+
+    def test_only_main_prints(self):
+        # Commands return their document and table lines; main prints one of them.
+        module = ast.parse(Path(cli.__file__).read_text())
+        main_def = next(fn for fn in module.body
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "main")
+
+        def prints(node):
+            return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "print"]
+
+        assert prints(main_def) and len(prints(module)) == len(prints(main_def))
