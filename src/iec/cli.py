@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -202,10 +203,17 @@ def cmd_evaluate(args):
     }, [metrics.format_table([(name, rep)]), *note]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def cmd_benchmark(args):
     dataset = _load_dataset(args)
     results = run_benchmark(dataset, args.repetitions, args.train_fraction,
-                            args.seed, args.tree_config, args.train_config)
+                            args.seed, args.tree_config, args.train_config,
+                            jobs=min(_cpu_count(), 2 * args.repetitions))
     means = {name: metrics.mean_report(reports) for name, reports in results.items()}
     mean_dicts = {name: rep.to_dict() for name, rep in means.items()}
 
@@ -245,7 +253,8 @@ def main(argv=None) -> int:
                         and value is not action.default):
                     raise ValueError(f"{known.config}: {action.dest} must be a string, "
                                      f"got {value!r}")
-                if action.choices is not None and value not in action.choices:
+                if (action.choices is not None and value not in action.choices
+                        and value is not action.default):
                     raise ValueError(f"{known.config}: {action.dest} must be one of "
                                      f"{list(action.choices)}, got {value!r}")
                 action.default = value

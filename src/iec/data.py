@@ -294,8 +294,10 @@ def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:
     return ScalingParams(x.min(axis=0), x.max(axis=0))
 
 
-def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
-    """Scale every column of a plain matrix using fitted params.
+def min_max_apply_matrix(x: np.ndarray, s: ScalingParams, out: np.ndarray | None = None
+                         ) -> np.ndarray:
+    """Scale every column of a plain matrix using fitted params, into ``out``
+    (a fresh matrix by default; ``out=x`` scales a float64 ``x`` in place).
 
     A constant column maps to the class-neutral midpoint 0.5; every other
     column takes the affine map, clamped so unseen out-of-range values stay
@@ -311,7 +313,7 @@ def min_max_apply_matrix(x: np.ndarray, s: ScalingParams) -> np.ndarray:
         half = np.where(np.isinf(hi - lo), 0.5, 1.0)
     lo, span = lo * half, hi * half - lo * half
     constant = span == 0.0
-    out = x * half
+    out = np.multiply(x, half, out=out)
     # A value far outside the fitted range may overflow to +-inf here; the
     # clip maps it to 0 or 1 as it does any other out-of-range value.
     with np.errstate(over="ignore"):

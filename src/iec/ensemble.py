@@ -13,6 +13,8 @@ network on every raw feature (ANN) and the tree (HDDT).
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,48 +105,89 @@ def fit(train: Dataset, tree_config: TreeConfig | None = None,
 
 def _train_network(x: np.ndarray, labels: np.ndarray,
                    config: TrainConfig) -> tuple[ScalingParams, MlpModel]:
-    """Min-max scale a network input matrix, size the hidden layer from its
-    shape and train the network on it."""
+    """Min-max scale a fresh network input matrix in place, size the hidden
+    layer from its shape and train the network on it."""
     scaling = min_max_fit_matrix(x)
-    scaled = min_max_apply_matrix(x, scaling)
+    scaled = min_max_apply_matrix(x, scaling, out=x)
     k = ann.hidden_neuron_count(x.shape[0], x.shape[1])
     return scaling, ann.train(scaled, labels, k, config)
 
 
 def predict(model: IecModel, rows: np.ndarray) -> np.ndarray:
     """Predicted 0/1 labels for rows conforming to the tree's feature schema."""
-    matrix = network_input(rows, model.tree.specs, model.selected_features,
-                           hddt.predict(model.tree, rows))
-    scaled = min_max_apply_matrix(matrix, model.scaling)
-    return ann.classify_batch(model.net, scaled)
+    return _classify(model, rows, hddt.predict(model.tree, rows))
+
+
+def _classify(model: IecModel, rows: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """The network's labels for ``rows``, given the tree's predictions ``op`` for them."""
+    matrix = network_input(rows, model.tree.specs, model.selected_features, op)
+    return ann.classify_batch(model.net, min_max_apply_matrix(matrix, model.scaling, out=matrix))
+
+
+def _ann_fold(train: Dataset, test: Dataset, train_config: TrainConfig) -> np.ndarray:
+    """The ANN baseline of one fold, the network on every raw feature: its test predictions."""
+    features = range(train.p)
+    scaling, net = _train_network(network_input(train.rows, train.specs, features),
+                                  train.labels, train_config)
+    test_matrix = network_input(test.rows, test.specs, features)
+    return ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling, out=test_matrix))
+
+
+def _iec_fold(train: Dataset, test: Dataset, tree_config: TreeConfig,
+              train_config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The HDDT and IEC test predictions of one fold.
+
+    The HDDT baseline is the tree inside the fold's IEC model: growth is a
+    pure function of the training rows and the tree config, so a second tree
+    grown for the baseline would be the same tree.  Its test predictions are
+    also the model's OP column, so the test rows pass through it once.
+    """
+    model = fit(train, tree_config, train_config)
+    tree_preds = hddt.predict(model.tree, test.rows)
+    return tree_preds, _classify(model, test.rows, tree_preds)
+
+
+def _call(task: tuple):
+    function, *args = task
+    return function(*args)
 
 
 def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
                   seed: int, tree_config: TreeConfig,
-                  train_config: TrainConfig) -> dict:
+                  train_config: TrainConfig, jobs: int = 1) -> dict:
     """Per-fold test-set reports for the ANN, HDDT and IEC classifiers.
 
-    The HDDT baseline is the tree inside each fold's IEC model: growth is a
-    pure function of the training rows and the tree config, so a second tree
-    grown for the baseline would be the same tree.
+    Each fold is two tasks, ``_ann_fold`` and ``_iec_fold``.  With ``jobs``
+    above 1 they run in up to that many forked worker processes, or in this
+    process where there is no ``fork``; the reports are put together in fold
+    order either way, so they do not depend on scheduling.
     """
+    require_int("jobs", jobs, 1)
     folds = repeated_eval_protocol(dataset, repetitions, train_fraction, seed)
-    results: dict = {"ANN": [], "HDDT": [], "IEC": []}
-    for fold_index, (train, test) in enumerate(folds):
-        try:
-            all_features = range(train.p)
-            train_matrix = network_input(train.rows, train.specs, all_features)
-            scaling, net = _train_network(train_matrix, train.labels, train_config)
-            test_matrix = network_input(test.rows, test.specs, all_features)
-            ann_preds = ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling))
+    tasks = [task for train, test in folds
+             for task in ((_ann_fold, train, test, train_config),
+                          (_iec_fold, train, test, tree_config, train_config))]
+    if jobs == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return _fold_reports(folds, map(_call, tasks))
+    # "fork" starts no helper process ("forkserver" and "spawn" start one that can
+    # outlive the call).  OpenBLAS joins its threads around a fork, so the fork
+    # copies one thread; an OpenMP BLAS need not.
+    with ProcessPoolExecutor(min(jobs, len(tasks)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        # A task that raises makes the map cancel the tasks not yet started.
+        return _fold_reports(folds, pool.map(_call, tasks))
 
-            iec_model = fit(train, tree_config, train_config)
-            tree_preds = hddt.predict(iec_model.tree, test.rows)
-            iec_preds = predict(iec_model, test.rows)
+
+def _fold_reports(folds, outcomes) -> dict:
+    """The per-fold reports from task results given in task order, two per fold."""
+    results: dict = {"ANN": [], "HDDT": [], "IEC": []}
+    for fold_index, (_, test) in enumerate(folds):
+        try:
+            preds = (next(outcomes), *next(outcomes))
         except Exception as exc:
             raise RuntimeError(f"benchmark fold {fold_index} failed: {exc}") from exc
-        for reports, preds in zip(results.values(), (ann_preds, tree_preds, iec_preds)):
-            reports.append(metrics.report(metrics.confusion(preds, test.labels)))
+        for reports, fold_preds in zip(results.values(), preds):
+            reports.append(metrics.report(metrics.confusion(fold_preds, test.labels)))
     return results
 
 

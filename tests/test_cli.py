@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -549,9 +550,53 @@ class TestBenchmark:
         d = Dataset((FeatureSpec("x", "continuous"),),
                     np.array([[1.0], [2.0], [3.0], [4.0]]),
                     np.array([0, 0, 1, 1]))
-        with pytest.raises(RuntimeError, match="fold 0"):
-            run_benchmark(d, repetitions=1, train_fraction=0.5, seed=0,
-                          tree_config=TreeConfig(), train_config=TrainConfig())
+        for jobs in (1, 2):  # in this process, and in a worker
+            with pytest.raises(RuntimeError, match="fold 0"):
+                run_benchmark(d, repetitions=1, train_fraction=0.5, seed=0,
+                              tree_config=TreeConfig(), train_config=TrainConfig(), jobs=jobs)
+
+    def test_failed_fold_in_a_worker_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        data = write_rows(tmp_path / "d.csv", ["x", "class"],
+                          [["1.0", "0"], ["2.0", "0"], ["3.0", "1"], ["4.0", "1"]])
+        code, _, err = run(capsys, ["benchmark", "--data", data, "--repetitions", "1",
+                                    "--train-fraction", "0.5"])
+        assert code == 1
+        assert "benchmark fold 0 failed" in err
+
+    def bench_outputs(self, tmp_path, capsys):
+        data = write_separable_csv(tmp_path / "d.csv", n=40)
+        dump = tmp_path / "folds.json"
+        code, out, _ = run(capsys, self.bench_args(data, ["--dump-folds", str(dump)]))
+        assert code == 0
+        return out, dump.read_bytes()
+
+    def test_workers_write_the_serial_bytes(self, tmp_path, capsys, monkeypatch):
+        # One CPU runs the folds in this process; two CPUs give two workers.
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        serial = self.bench_outputs(tmp_path, capsys)
+        pools, pool_class = [], ensemble.ProcessPoolExecutor
+
+        def counted_pool(workers, **kwargs):
+            pools.append(workers)
+            return pool_class(workers, **kwargs)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        assert self.bench_outputs(tmp_path, capsys) == serial
+        assert pools == [2]
+
+    def test_no_fork_runs_the_folds_here(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        serial = self.bench_outputs(tmp_path, capsys)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker may start")
+
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert self.bench_outputs(tmp_path, capsys) == serial
 
 
 class TestConfigFile:
@@ -665,6 +710,17 @@ class TestConfigFile:
                             "--out", str(a)])[0] == 0
         assert run(capsys, ["train", "--data", data, "--epochs", "20", "--out", str(b)])[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_null_default_passes_choices(self, tmp_path, capsys):
+        # null is --baseline's own default, as it is --model's.
+        data = write_separable_csv(tmp_path / "d.csv")
+        model = tmp_path / "m.json"
+        assert run(capsys, ["train", "--data", data, "--epochs", "20",
+                            "--out", str(model)])[0] == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"baseline": None}))
+        argv = ["evaluate", "--data", data, "--model", str(model)]
+        assert run(capsys, ["--config", str(cfg), *argv]) == run(capsys, argv)
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -233,6 +233,9 @@ class TestMinMax:
             out = min_max_apply_matrix(x, s)
             assert not np.shares_memory(out, x)
             np.testing.assert_array_equal(out.view(np.int64), where.view(np.int64))
+            # The same steps written into x itself.
+            assert min_max_apply_matrix(x, s, out=x) is x
+            np.testing.assert_array_equal(x.view(np.int64), where.view(np.int64))
 
     def test_column_wider_than_float_max(self):
         # max - min overflows to inf: the column is scaled without it, and the

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -220,8 +221,9 @@ class TestFit:
 
 class TestPredict:
     def test_peak_memory_is_a_few_matrices(self):
-        # The input matrix is written once and scaled into one fresh matrix;
-        # hstacked blocks and a nested np.where scaling cost about 3x.
+        # The input matrix is written once and scaled in place (about 1.3x);
+        # scaling into a second matrix costs about 2.3x, hstacked blocks and a
+        # nested np.where scaling about 3x.
         model = fit(mixed_dataset(2000, seed=1), train_config=TrainConfig(epochs=5))
         rows = mixed_dataset(5000, seed=2).rows
         tracemalloc.start()
@@ -231,7 +233,7 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert model.d_m > 20  # both categoricals are expanded
-        assert peak <= 2.5 * rows.shape[0] * model.d_m * 8
+        assert peak <= 1.5 * rows.shape[0] * model.d_m * 8
 
     def test_refit_predictions_are_stable(self):
         d = synth_generate(150, 3, 2, 0.3, seed=9)
@@ -270,6 +272,43 @@ class TestRunBenchmark:
                                 train_config=TrainConfig(epochs=10))
         assert [len(reports) for reports in results.values()] == [3, 3, 3]
         assert len(calls) == 3
+
+    def test_one_tree_pass_per_fold_over_the_test_rows(self, monkeypatch):
+        # Per fold the tree sees the training rows (OP for the network) and the
+        # test rows once: its HDDT predictions are also the IEC model's OP column.
+        passes = []
+        tree_predict = hddt.predict
+
+        def counting_predict(model, rows):
+            passes.append(len(rows))
+            return tree_predict(model, rows)
+
+        monkeypatch.setattr(hddt, "predict", counting_predict)
+        d = synth_generate(200, 3, 2, 0.25, seed=3)
+        run_benchmark(d, repetitions=3, train_fraction=0.7, seed=0,
+                      tree_config=hddt.TreeConfig(), train_config=TrainConfig(epochs=10))
+        assert passes == [140, 60] * 3
+
+    def test_workers_give_the_serial_reports(self):
+        d = mixed_dataset(300, seed=4)
+        args = (d, 3, 0.7, 2, hddt.TreeConfig(min_leaf=3), TrainConfig(epochs=40, seed=1))
+        serial, pooled = run_benchmark(*args), run_benchmark(*args, jobs=2)
+        assert {name: [r.to_dict() for r in reports] for name, reports in pooled.items()} == \
+            {name: [r.to_dict() for r in reports] for name, reports in serial.items()}
+
+    def test_no_worker_outlives_the_call(self):
+        # Forked workers are joined when the call returns: no child is left,
+        # running or unreaped, so waitpid finds none.
+        d = synth_generate(200, 3, 2, 0.25, seed=3)
+        run_benchmark(d, 2, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10), jobs=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+    def test_bad_jobs_rejected(self, jobs):
+        d = synth_generate(200, 3, 2, 0.25, seed=3)
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            run_benchmark(d, 2, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10), jobs=jobs)
 
 
 class TestSkewInsensitivity:
