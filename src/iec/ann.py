@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import require_int, require_number, require_numbers, round_half_away
+from iec.data import fields, require_int, require_number, require_numbers, round_half_away
 
 
 def sigmoid(x):
@@ -286,6 +286,6 @@ def model_to_dict(model: MlpModel) -> dict:
 
 
 def model_from_dict(d: dict) -> MlpModel:
-    require_int("format_version", d.get("format_version"), 1, 1)
-    return MlpModel(d["input_dim"], d["hidden_count"], d["hidden_weights"],
-                    d["hidden_biases"], d["output_weights"], d["output_bias"])
+    require_int("format_version", *fields(d, "net", "format_version"), 1, 1)
+    return MlpModel(*fields(d, "net", "input_dim", "hidden_count", "hidden_weights",
+                            "hidden_biases", "output_weights", "output_bias"))

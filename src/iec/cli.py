@@ -184,8 +184,12 @@ def cmd_evaluate(args):
         dataset = _load_dataset(args)
         preds = np.zeros(dataset.n, dtype=np.int64)
     else:
-        with open(args.model, encoding="utf-8") as fh:
-            model = ensemble.model_from_dict(json.load(fh))
+        try:
+            with open(args.model, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{args.model}: {exc}") from None
+        model = ensemble.model_from_dict(doc)
         name = "IEC"
         # Columns are matched by name and encoded with the model's categories.
         dataset = _load_dataset(args, model.tree.specs)

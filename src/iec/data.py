@@ -48,6 +48,16 @@ def require_list(name: str, value, nonempty: bool = False):
     return value
 
 
+def fields(doc, what: str, *keys) -> tuple:
+    """The values of ``keys`` in the JSON object ``doc`` (``what`` in messages), in order."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {reprlib.repr(doc)}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{key} is missing from {what}")
+    return tuple(doc[key] for key in keys)
+
+
 def _is_number(value, minimum: float = -math.inf, maximum: float = math.inf) -> bool:
     """Whether ``value`` is a real in ``minimum .. maximum``, not a bool, NaN or beyond a float."""
     return (not isinstance(value, bool) and isinstance(value, numbers.Real)
@@ -191,8 +201,8 @@ class ScalingParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalingParams":
-        params = cls(d["mins"], d["maxs"])
-        columns = require_list("columns", d["columns"])
+        params = cls(*fields(d, "scaling", "mins", "maxs"))
+        columns = require_list("columns", *fields(d, "scaling", "columns"))
         if [require_int("columns", c, 0) for c in columns] != list(range(len(params.mins))):
             raise ValueError("columns must be 0 .. width-1 in order")
         return params
@@ -203,7 +213,19 @@ def specs_to_dicts(specs) -> list[dict]:
 
 
 def specs_from_dicts(items) -> tuple[FeatureSpec, ...]:
-    return tuple(FeatureSpec(d["name"], d["kind"], d["categories"]) for d in items)
+    return tuple(FeatureSpec(*fields(d, "spec", "name", "kind", "categories")) for d in items)
+
+
+def _records(fh, path):
+    """The CSV records of ``fh``, a parse or decode error as a ValueError naming ``path``."""
+    r = 0
+    try:
+        for r, record in enumerate(csv.reader(fh), start=1):
+            yield record
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc} at row {r + 1}") from None
+    except UnicodeDecodeError as exc:  # decoded in chunks ahead of the parser: no row
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_csv(path, label_column: str, positive_label: str,
@@ -221,7 +243,7 @@ def load_csv(path, label_column: str, positive_label: str,
     column or a third label value.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -21,7 +21,7 @@ import numpy as np
 
 from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
-from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes,
+from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes, fields,
                       min_max_apply_matrix, min_max_fit_matrix, repeated_eval_protocol,
                       require_int, require_list)
 from iec.hddt import HddtModel, TreeConfig
@@ -204,9 +204,10 @@ def model_to_dict(model: IecModel) -> dict:
 
 
 def model_from_dict(d: dict) -> IecModel:
-    require_int("format_version", d.get("format_version"), 1, 1)
-    if d.get("kind") != "iec":
+    require_int("format_version", *fields(d, "model", "format_version"), 1, 1)
+    if fields(d, "model", "kind") != ("iec",):
         raise ValueError("not a supported classifier model document")
-    return IecModel(hddt.model_from_dict(d["tree"]), d["selected_features"],
-                    ScalingParams.from_dict(d["scaling"]), ann.model_from_dict(d["net"]),
-                    d["d_m"])
+    tree, selected, scaling, net, d_m = fields(d, "model", "tree", "selected_features",
+                                               "scaling", "net", "d_m")
+    return IecModel(hddt.model_from_dict(tree), selected, ScalingParams.from_dict(scaling),
+                    ann.model_from_dict(net), d_m)

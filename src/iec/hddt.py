@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, require_int,
+from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, fields, require_int,
                       require_list, require_number, require_numbers, specs_from_dicts,
                       specs_to_dicts)
 
@@ -433,26 +433,27 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
     """One ``_nest`` entry, rejecting a node that ``predict`` could not route, naming the field."""
-    counts = require_int("n_pos", d["n_pos"], 0), require_int("n_neg", d["n_neg"], 0)
-    if d["kind"] == "leaf":
-        return Leaf(require_int("label", d["label"], 0, 1), *counts)
-    if d["kind"] != "split":
-        raise ValueError(f"kind must be 'leaf' or 'split', got {d['kind']!r}")
-    j = require_int("feature_index", d["feature_index"], 0, len(specs) - 1)
-    kind, spec = d["split_kind"], specs[j]
+    node_kind, n_pos, n_neg = fields(d, "tree node", "kind", "n_pos", "n_neg")
+    counts = require_int("n_pos", n_pos, 0), require_int("n_neg", n_neg, 0)
+    if node_kind == "leaf":
+        return Leaf(require_int("label", *fields(d, "tree node", "label"), 0, 1), *counts)
+    if node_kind != "split":
+        raise ValueError(f"kind must be 'leaf' or 'split', got {node_kind!r}")
+    j, kind, hd_score = fields(d, "tree node", "feature_index", "split_kind", "hd_score")
+    spec = specs[require_int("feature_index", j, 0, len(specs) - 1)]
     if kind != (NUMERIC if spec.kind == CONTINUOUS else CATEGORICAL_SPLIT):
         raise ValueError(f"split_kind {kind!r} does not fit {spec.kind} feature {spec.name!r}")
     threshold, categories = None, ()
     if kind == NUMERIC:
-        threshold = require_number("threshold", d["threshold"])
+        threshold = require_number("threshold", *fields(d, "tree node", "threshold"))
     else:
-        categories = tuple(require_int("categories", c, 0)
-                           for c in require_list("categories", d["categories"]))
+        categories = tuple(require_int("categories", c, 0) for c in
+                           require_list("categories", *fields(d, "tree node", "categories")))
         if (len(categories) < 2 or len(set(categories)) != len(categories)
                 or not all(c < len(spec.categories) for c in categories)):
             raise ValueError(f"categories {list(categories)} must be at least two distinct "
                              f"codes in 0 .. {len(spec.categories) - 1} of {spec.name!r}")
-    split = SplitCandidate(j, kind, require_number("hd_score", d["hd_score"], 0.0),
+    split = SplitCandidate(j, kind, require_number("hd_score", hd_score, 0.0),
                            threshold, categories)
     return (split, *counts)
 
@@ -469,9 +470,10 @@ def model_to_dict(model: HddtModel) -> dict:
 
 def model_from_dict(d: dict) -> HddtModel:
     """Rebuild a tree from version 2's pre-order ``nodes`` or version 1's nested ``root``."""
-    version = require_int("format_version", d.get("format_version"), 1, 2)
-    nodes = (d["nodes"] if version == 2
-             else _preorder(d["root"], lambda node: node.get("children", [])))
-    specs = specs_from_dicts(require_list("specs", d["specs"]))
-    return HddtModel(_nest([_node_from_dict(node, specs) for node in nodes]),
-                     d["importances"], specs)
+    version = require_int("format_version", *fields(d, "tree", "format_version"), 1, 2)
+    nodes, specs, importances = fields(d, "tree", "nodes" if version == 2 else "root",
+                                       "specs", "importances")
+    nodes = (require_list("nodes", nodes) if version == 2 else _preorder(nodes, lambda node: (
+        require_list("children", node.get("children", [])) if isinstance(node, dict) else [])))
+    specs = specs_from_dicts(require_list("specs", specs))
+    return HddtModel(_nest([_node_from_dict(node, specs) for node in nodes]), importances, specs)

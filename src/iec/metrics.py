@@ -60,10 +60,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**{name: d[name] for name in METRIC_NAMES})
-
 
 def confusion(predicted, actual) -> ConfusionMatrix:
     """Count prediction outcomes against ground truth (both 0/1 vectors)."""

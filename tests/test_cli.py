@@ -345,6 +345,10 @@ class TestEvaluate:
         ("hidden_weights", lambda doc: doc["net"].update(hidden_weights=0.5)),
         ("columns", lambda doc: doc["scaling"].update(columns=5)),
         ("specs", lambda doc: doc["tree"].update(specs=5)),
+        ("d_m", lambda doc: doc.pop("d_m")),
+        ("net", lambda doc: doc.update(net="x")),
+        ("kind", lambda doc: doc["tree"]["nodes"].__setitem__(1, {})),
+        ("scaling", lambda doc: doc.update(scaling=[1])),
     ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
             "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min",
             "fractional-feature", "string-d_m", "fractional-input_dim", "bool-version",
@@ -354,7 +358,8 @@ class TestEvaluate:
             "string-hidden-bias", "short-hidden_weights", "number-name",
             "string-categories", "number-categories", "scalar-importances",
             "scalar-selected_features", "scalar-mins", "scalar-hidden_weights",
-            "scalar-columns", "scalar-specs"])
+            "scalar-columns", "scalar-specs", "missing-d_m", "string-net", "empty-node",
+            "list-scaling"])
     def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"
@@ -367,6 +372,18 @@ class TestEvaluate:
                                     "--data", str(tmp_path / "absent.csv")])
         assert code == 1
         assert f"error: {field} " in err and "absent.csv" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "error: model must be an object, got [1]"),
+        ("{", "model.json: Expecting property name enclosed in double quotes"),
+    ], ids=["list", "not-json"])
+    def test_model_file_not_an_object_rejected_at_load(self, tmp_path, capsys, text, message):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text)
+        code, _, err = run(capsys, ["evaluate", "--model", str(model_path),
+                                    "--data", str(tmp_path / "absent.csv")])
+        assert code == 1
+        assert message in err and "absent.csv" not in err
 
     # The numeric model's root splits x (continuous); the categorical model's
     # root splits color into its two categories.  Both roots have leaf

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
-                      ScalingParams, category_codes, imbalance_cv, load_csv,
+                      ScalingParams, category_codes, fields, imbalance_cv, load_csv,
                       min_max_apply_matrix, min_max_fit_matrix,
                       repeated_eval_protocol,
                       specs_from_dicts, specs_to_dicts, stratified_split,
@@ -103,6 +103,19 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="fields"):
             load_csv(path, "lab", "Y")
 
+    def test_oversized_cell_named_at_its_row(self, tmp_path):
+        # The csv module's own error names neither the file nor the row.
+        path = write_csv(tmp_path / "d.csv", "a,lab\n1,Y\n2,N\n" + "3" * 200_000 + ",Y\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: field larger than field limit (131072) at row 4")):
+            load_csv(path, "lab", "Y")
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,lab\n1,Y\n\xff2,N\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_csv(str(path), "lab", "Y")
+
     def test_categorical_first_appearance_order(self, tmp_path):
         path = write_csv(tmp_path / "d.csv",
                          "city,x,lab\nparis,1,Y\nrome,2,N\nparis,3,N\noslo,4,Y\n")
@@ -165,6 +178,20 @@ class TestLoadCsv:
         message = str(info.value)
         assert len(message) < 500
         assert "third distinct value" in message and "at row 4 " in message
+
+
+class TestFields:
+    def test_values_in_the_order_asked(self):
+        assert fields({"a": 1, "b": None}, "doc", "b", "a") == (None, 1)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1], "doc must be an object, got [1]"),
+        ({"b": 1}, "a is missing from doc"),
+        ({"a": 1}, "b is missing from doc"),
+    ])
+    def test_first_fault_named(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fields(doc, "doc", "a", "b")
 
 
 class TestMinMax:

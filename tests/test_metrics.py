@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -137,10 +136,6 @@ class TestValidationAndFormats:
     def test_report_range_checked(self):
         with pytest.raises(ValueError, match="auc"):
             MetricsReport(0.5, 0.5, 0.5, 0.5, 1.5, 0.5, 0.5)
-
-    def test_json_roundtrip(self):
-        rep = report(ConfusionMatrix(40, 20, 30, 10))
-        assert MetricsReport.from_dict(json.loads(json.dumps(rep.to_dict()))) == rep
 
     def test_table_layout(self):
         rep = report(ConfusionMatrix(40, 20, 30, 10))
