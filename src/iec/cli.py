@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -25,14 +24,14 @@ from iec.hddt import TreeConfig
 
 def _load_config(path: str) -> dict:
     """Read a JSON-object or key=value config file into a flat dict."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        cfg = json.loads(text)
-        if not isinstance(cfg, dict):
-            raise ValueError(f"{path}: config JSON must be an object")
-    else:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        # Text that starts with "{" parses to an object or not at all.
+        cfg = json.loads(text) if text.lstrip().startswith("{") else None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
+    if cfg is None:
         cfg = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -207,17 +206,10 @@ def cmd_evaluate(args):
     }, [metrics.format_table([(name, rep)]), *note]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def cmd_benchmark(args):
     dataset = _load_dataset(args)
     results = run_benchmark(dataset, args.repetitions, args.train_fraction,
-                            args.seed, args.tree_config, args.train_config,
-                            jobs=min(_cpu_count(), 2 * args.repetitions))
+                            args.seed, args.tree_config, args.train_config)
     means = {name: metrics.mean_report(reports) for name, reports in results.items()}
     mean_dicts = {name: rep.to_dict() for name, rep in means.items()}
 

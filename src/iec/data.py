@@ -48,6 +48,12 @@ def require_list(name: str, value, nonempty: bool = False):
     return value
 
 
+def require_unique_names(specs) -> None:
+    """A ValueError unless the feature specs ``specs`` have distinct names."""
+    if len({s.name for s in specs}) != len(specs):
+        raise ValueError("feature names must be unique")
+
+
 def fields(doc, what: str, *keys) -> tuple:
     """The values of ``keys`` in the JSON object ``doc`` (``what`` in messages), in order."""
     if not isinstance(doc, dict):
@@ -128,9 +134,7 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        names = [s.name for s in self.specs]
-        if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
+        require_unique_names(self.specs)
         rows = np.array(self.rows, dtype=np.float64)
         labels = np.asarray(self.labels)
         if rows.ndim != 2:

@@ -14,6 +14,7 @@ network on every raw feature (ANN) and the tree (HDDT).
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -152,28 +153,33 @@ def _call(task: tuple):
     return function(*args)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
-                  seed: int, tree_config: TreeConfig,
-                  train_config: TrainConfig, jobs: int = 1) -> dict:
+                  seed: int, tree_config: TreeConfig, train_config: TrainConfig) -> dict:
     """Per-fold test-set reports for the ANN, HDDT and IEC classifiers.
 
-    Each fold is two tasks, ``_ann_fold`` and ``_iec_fold``.  With ``jobs``
-    above 1 they run in up to that many forked worker processes, or in this
-    process where there is no ``fork``; the reports are put together in fold
-    order either way, so they do not depend on scheduling.
+    Each fold is two tasks, ``_ann_fold`` and ``_iec_fold``.  They run in one
+    forked worker process per CPU this process may use, up to one per task, or
+    in this process where that is one worker or there is no ``fork``; the
+    reports are put together in fold order either way, so they do not depend
+    on scheduling.
     """
-    require_int("jobs", jobs, 1)
     folds = repeated_eval_protocol(dataset, repetitions, train_fraction, seed)
     tasks = [task for train, test in folds
              for task in ((_ann_fold, train, test, train_config),
                           (_iec_fold, train, test, tree_config, train_config))]
-    if jobs == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    workers = min(_cpu_count(), len(tasks))
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return _fold_reports(folds, map(_call, tasks))
     # "fork" starts no helper process ("forkserver" and "spawn" start one that can
     # outlive the call).  OpenBLAS joins its threads around a fork, so the fork
     # copies one thread; an OpenMP BLAS need not.
-    with ProcessPoolExecutor(min(jobs, len(tasks)),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         # A task that raises makes the map cancel the tasks not yet started.
         return _fold_reports(folds, pool.map(_call, tasks))
 

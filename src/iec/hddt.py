@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, fields, require_int,
-                      require_list, require_number, require_numbers, specs_from_dicts,
-                      specs_to_dicts)
+                      require_list, require_number, require_numbers, require_unique_names,
+                      specs_from_dicts, specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -88,6 +88,7 @@ class HddtModel:
     specs: tuple[FeatureSpec, ...]
 
     def __post_init__(self):
+        require_unique_names(self.specs)
         imp = require_numbers("importances", self.importances, (len(self.specs),), 0.0)
         imp.setflags(write=False)
         object.__setattr__(self, "importances", imp)

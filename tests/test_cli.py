@@ -349,6 +349,8 @@ class TestEvaluate:
         ("net", lambda doc: doc.update(net="x")),
         ("kind", lambda doc: doc["tree"]["nodes"].__setitem__(1, {})),
         ("scaling", lambda doc: doc.update(scaling=[1])),
+        ("feature names", lambda doc: doc["tree"]["specs"][1].update(
+            name=doc["tree"]["specs"][0]["name"])),
     ], ids=["repeated-feature", "feature-past-specs", "negative-feature",
             "scaling-width", "d_m-width", "nan-min", "nan-max", "inf-max", "-inf-min",
             "fractional-feature", "string-d_m", "fractional-input_dim", "bool-version",
@@ -359,7 +361,7 @@ class TestEvaluate:
             "string-categories", "number-categories", "scalar-importances",
             "scalar-selected_features", "scalar-mins", "scalar-hidden_weights",
             "scalar-columns", "scalar-specs", "missing-d_m", "string-net", "empty-node",
-            "list-scaling"])
+            "list-scaling", "repeated-name"])
     def test_malformed_model_rejected_at_load(self, tmp_path, capsys, field, tamper):
         data = write_separable_csv(tmp_path / "d.csv")
         model_path = tmp_path / "model.json"
@@ -557,7 +559,7 @@ class TestBenchmark:
         assert code == 2
         assert f"{field} must be" in err and "absent.csv" not in err
 
-    def test_failed_fold_reports_index(self):
+    def test_failed_fold_reports_index(self, monkeypatch):
         from iec.ann import TrainConfig
         from iec.cli import run_benchmark
         from iec.data import Dataset, FeatureSpec
@@ -567,13 +569,14 @@ class TestBenchmark:
         d = Dataset((FeatureSpec("x", "continuous"),),
                     np.array([[1.0], [2.0], [3.0], [4.0]]),
                     np.array([0, 0, 1, 1]))
-        for jobs in (1, 2):  # in this process, and in a worker
+        for cpus in (1, 2):  # in this process, and in a worker
+            monkeypatch.setattr(ensemble, "_cpu_count", lambda: cpus)
             with pytest.raises(RuntimeError, match="fold 0"):
                 run_benchmark(d, repetitions=1, train_fraction=0.5, seed=0,
-                              tree_config=TreeConfig(), train_config=TrainConfig(), jobs=jobs)
+                              tree_config=TreeConfig(), train_config=TrainConfig())
 
     def test_failed_fold_in_a_worker_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
         data = write_rows(tmp_path / "d.csv", ["x", "class"],
                           [["1.0", "0"], ["2.0", "0"], ["3.0", "1"], ["4.0", "1"]])
         code, _, err = run(capsys, ["benchmark", "--data", data, "--repetitions", "1",
@@ -590,7 +593,7 @@ class TestBenchmark:
 
     def test_workers_write_the_serial_bytes(self, tmp_path, capsys, monkeypatch):
         # One CPU runs the folds in this process; two CPUs give two workers.
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
         serial = self.bench_outputs(tmp_path, capsys)
         pools, pool_class = [], ensemble.ProcessPoolExecutor
 
@@ -599,18 +602,18 @@ class TestBenchmark:
             return pool_class(workers, **kwargs)
 
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", counted_pool)
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
         assert self.bench_outputs(tmp_path, capsys) == serial
         assert pools == [2]
 
     def test_no_fork_runs_the_folds_here(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
         serial = self.bench_outputs(tmp_path, capsys)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("no worker may start")
 
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert self.bench_outputs(tmp_path, capsys) == serial
@@ -664,6 +667,18 @@ class TestConfigFile:
                                     "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "--epochs" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"{bad", "Expecting property name enclosed in double quotes"),
+        (b"\xffepochs = 5\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not-json", "not-utf8"])
+    def test_unreadable_config_names_the_file(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        code, _, err = run(capsys, ["--config", str(cfg), "synth",
+                                    "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: {cfg}: {message}" in err
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     @pytest.mark.parametrize("key,value", [

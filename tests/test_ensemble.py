@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from iec import ann, hddt
+from iec import ann, ensemble, hddt
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, ScalingParams,
                       min_max_apply_matrix, min_max_fit_matrix, synth_generate)
@@ -258,6 +258,7 @@ class TestPredict:
 
 class TestRunBenchmark:
     def test_one_tree_per_fold(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)  # count calls in this process
         calls = []
         grow_tree = hddt.grow_tree
 
@@ -276,6 +277,7 @@ class TestRunBenchmark:
     def test_one_tree_pass_per_fold_over_the_test_rows(self, monkeypatch):
         # Per fold the tree sees the training rows (OP for the network) and the
         # test rows once: its HDDT predictions are also the IEC model's OP column.
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)  # count calls in this process
         passes = []
         tree_predict = hddt.predict
 
@@ -289,26 +291,39 @@ class TestRunBenchmark:
                       tree_config=hddt.TreeConfig(), train_config=TrainConfig(epochs=10))
         assert passes == [140, 60] * 3
 
-    def test_workers_give_the_serial_reports(self):
+    def test_workers_give_the_serial_reports(self, monkeypatch):
         d = mixed_dataset(300, seed=4)
         args = (d, 3, 0.7, 2, hddt.TreeConfig(min_leaf=3), TrainConfig(epochs=40, seed=1))
-        serial, pooled = run_benchmark(*args), run_benchmark(*args, jobs=2)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
+        serial = run_benchmark(*args)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        pooled = run_benchmark(*args)
         assert {name: [r.to_dict() for r in reports] for name, reports in pooled.items()} == \
             {name: [r.to_dict() for r in reports] for name, reports in serial.items()}
 
-    def test_no_worker_outlives_the_call(self):
+    def test_no_worker_outlives_the_call(self, monkeypatch):
         # Forked workers are joined when the call returns: no child is left,
         # running or unreaped, so waitpid finds none.
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
         d = synth_generate(200, 3, 2, 0.25, seed=3)
-        run_benchmark(d, 2, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10), jobs=2)
+        run_benchmark(d, 2, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
-    def test_bad_jobs_rejected(self, jobs):
+    def test_a_library_call_starts_the_cli_pool(self, monkeypatch):
+        # No worker argument: eight CPUs and one repetition (two tasks) give one
+        # pool of two workers, the pool `iec benchmark` starts.
+        pools, pool_class = [], ensemble.ProcessPoolExecutor
+
+        def counted_pool(workers, **kwargs):
+            pools.append(workers)
+            return pool_class(min(workers, 2), **kwargs)
+
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", counted_pool)
         d = synth_generate(200, 3, 2, 0.25, seed=3)
-        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
-            run_benchmark(d, 2, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10), jobs=jobs)
+        run_benchmark(d, 1, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10))
+        assert pools == [2]
 
 
 class TestSkewInsensitivity:
