@@ -25,7 +25,7 @@ from iec.hddt import TreeConfig
 def _load_config(path: str) -> dict:
     """Read a JSON-object or key=value config file into a flat dict."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark, as load_csv does
             text = fh.read()
         # Text that starts with "{" parses to an object or not at all.
         cfg = json.loads(text) if text.lstrip().startswith("{") else None

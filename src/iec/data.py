@@ -364,18 +364,25 @@ def imbalance_cv(d: Dataset) -> float:
 
 
 def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Class-stratified random partition into (train, test).
+    """Class-stratified random partition into (train, test), rows in their
+    original order: the rows of ``split_indices``."""
+    train, test = split_indices(d.labels, train_fraction, seed)
+    return d.subset(train), d.subset(test)
+
+
+def split_indices(labels: np.ndarray, train_fraction: float,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (train, test) row indices of a class-stratified random partition.
 
     Each class contributes round(train_fraction * class count) rows to the
-    train side (halves round away from zero).  Row order within each side
-    follows the original dataset.  Deterministic given the seed.
+    train side (halves round away from zero).  Deterministic given the seed.
     """
     require_protocol(1, train_fraction)
     rng = np.random.default_rng(seed)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for label in (0, 1):
-        members = np.flatnonzero(d.labels == label)
+        members = np.flatnonzero(labels == label)
         take = round_half_away(train_fraction * len(members))
         if take == 0 or take == len(members):
             raise ValueError(
@@ -385,9 +392,7 @@ def stratified_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Data
         shuffled = rng.permutation(members)
         train_idx.append(shuffled[:take])
         test_idx.append(shuffled[take:])
-    train = np.sort(np.concatenate(train_idx))
-    test = np.sort(np.concatenate(test_idx))
-    return d.subset(train), d.subset(test)
+    return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
 def require_protocol(repetitions, train_fraction) -> None:

@@ -23,8 +23,8 @@ import numpy as np
 from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes, fields,
-                      min_max_apply_matrix, min_max_fit_matrix, repeated_eval_protocol,
-                      require_int, require_list)
+                      min_max_apply_matrix, min_max_fit_matrix, require_int, require_list,
+                      require_protocol, split_indices)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -125,17 +125,18 @@ def _classify(model: IecModel, rows: np.ndarray, op: np.ndarray) -> np.ndarray:
     return ann.classify_batch(model.net, min_max_apply_matrix(matrix, model.scaling, out=matrix))
 
 
-def _ann_fold(train: Dataset, test: Dataset, train_config: TrainConfig) -> np.ndarray:
+def _ann_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
+              train_config: TrainConfig) -> np.ndarray:
     """The ANN baseline of one fold, the network on every raw feature: its test predictions."""
-    features = range(train.p)
-    scaling, net = _train_network(network_input(train.rows, train.specs, features),
-                                  train.labels, train_config)
-    test_matrix = network_input(test.rows, test.specs, features)
+    features = range(dataset.p)
+    scaling, net = _train_network(network_input(dataset.rows[train_idx], dataset.specs, features),
+                                  dataset.labels[train_idx], train_config)
+    test_matrix = network_input(dataset.rows[test_idx], dataset.specs, features)
     return ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling, out=test_matrix))
 
 
-def _iec_fold(train: Dataset, test: Dataset, tree_config: TreeConfig,
-              train_config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _iec_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
+              tree_config: TreeConfig, train_config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """The HDDT and IEC test predictions of one fold.
 
     The HDDT baseline is the tree inside the fold's IEC model: growth is a
@@ -143,14 +144,25 @@ def _iec_fold(train: Dataset, test: Dataset, tree_config: TreeConfig,
     grown for the baseline would be the same tree.  Its test predictions are
     also the model's OP column, so the test rows pass through it once.
     """
-    model = fit(train, tree_config, train_config)
-    tree_preds = hddt.predict(model.tree, test.rows)
-    return tree_preds, _classify(model, test.rows, tree_preds)
+    model = fit(dataset.subset(train_idx), tree_config, train_config)
+    test_rows = dataset.rows[test_idx]
+    tree_preds = hddt.predict(model.tree, test_rows)
+    return tree_preds, _classify(model, test_rows, tree_preds)
 
 
 def _call(task: tuple):
     function, *args = task
     return function(*args)
+
+
+def _adopt(tasks: list) -> None:
+    """Worker initializer: keep the task list, inherited through ``fork``."""
+    global _tasks
+    _tasks = tasks
+
+
+def _call_index(i: int):
+    return _call(_tasks[i])
 
 
 def _cpu_count() -> int:
@@ -163,37 +175,42 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
                   seed: int, tree_config: TreeConfig, train_config: TrainConfig) -> dict:
     """Per-fold test-set reports for the ANN, HDDT and IEC classifiers.
 
-    Each fold is two tasks, ``_ann_fold`` and ``_iec_fold``.  They run in one
-    forked worker process per CPU this process may use, up to one per task, or
-    in this process where that is one worker or there is no ``fork``; the
-    reports are put together in fold order either way, so they do not depend
-    on scheduling.
+    The folds are the splits of ``repeated_eval_protocol``, kept as row
+    indices.  Each fold is two tasks, ``_ann_fold`` and ``_iec_fold``, which
+    take the fold's rows from the dataset.  They run in one forked worker
+    process per CPU this process may use, up to one per task, or in this
+    process where that is one worker or there is no ``fork``; the reports are
+    put together in fold order either way, so they do not depend on
+    scheduling.
     """
-    folds = repeated_eval_protocol(dataset, repetitions, train_fraction, seed)
-    tasks = [task for train, test in folds
-             for task in ((_ann_fold, train, test, train_config),
-                          (_iec_fold, train, test, tree_config, train_config))]
+    require_protocol(repetitions, train_fraction)
+    folds = [split_indices(dataset.labels, train_fraction, seed + i) for i in range(repetitions)]
+    tasks = [task for train_idx, test_idx in folds
+             for task in ((_ann_fold, dataset, train_idx, test_idx, train_config),
+                          (_iec_fold, dataset, train_idx, test_idx, tree_config, train_config))]
     workers = min(_cpu_count(), len(tasks))
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return _fold_reports(folds, map(_call, tasks))
+        return _fold_reports(dataset, folds, map(_call, tasks))
     # "fork" starts no helper process ("forkserver" and "spawn" start one that can
     # outlive the call).  OpenBLAS joins its threads around a fork, so the fork
-    # copies one thread; an OpenMP BLAS need not.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    # copies one thread; an OpenMP BLAS need not.  The workers inherit the tasks
+    # through the fork, so only task numbers and predictions cross the pipes.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(tasks,)) as pool:
         # A task that raises makes the map cancel the tasks not yet started.
-        return _fold_reports(folds, pool.map(_call, tasks))
+        return _fold_reports(dataset, folds, pool.map(_call_index, range(len(tasks))))
 
 
-def _fold_reports(folds, outcomes) -> dict:
+def _fold_reports(dataset: Dataset, folds, outcomes) -> dict:
     """The per-fold reports from task results given in task order, two per fold."""
     results: dict = {"ANN": [], "HDDT": [], "IEC": []}
-    for fold_index, (_, test) in enumerate(folds):
+    for fold_index, (_, test_idx) in enumerate(folds):
         try:
             preds = (next(outcomes), *next(outcomes))
         except Exception as exc:
             raise RuntimeError(f"benchmark fold {fold_index} failed: {exc}") from exc
         for reports, fold_preds in zip(results.values(), preds):
-            reports.append(metrics.report(metrics.confusion(fold_preds, test.labels)))
+            reports.append(metrics.report(metrics.confusion(fold_preds, dataset.labels[test_idx])))
     return results
 
 

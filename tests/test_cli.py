@@ -680,6 +680,18 @@ class TestConfigFile:
         assert code == 2
         assert f"error: {cfg}: {message}" in err
 
+    @pytest.mark.parametrize("content", ['{"n": 50, "seed": 3}', "n = 50\nseed = 3\n"],
+                             ids=["json", "key-value"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, content):
+        # A config file that starts with a UTF-8 byte-order mark reads as the
+        # same file without it, as a CSV does.
+        cfg, a, b = tmp_path / "bom.cfg", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_bytes(b"\xef\xbb\xbf" + content.encode())
+        code, _, err = run(capsys, ["--config", str(cfg), "synth", "--out", str(a)])
+        assert code == 0, err
+        run(capsys, ["synth", "--n", "50", "--seed", "3", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     @pytest.mark.parametrize("key,value", [
         ("epochs", 2.5), ("seed", 1.5), ("min_leaf", 2.0), ("max_depth", 1.5)])

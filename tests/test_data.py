@@ -8,8 +8,8 @@ from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
                       ScalingParams, category_codes, fields, imbalance_cv, load_csv,
                       min_max_apply_matrix, min_max_fit_matrix,
                       repeated_eval_protocol,
-                      specs_from_dicts, specs_to_dicts, stratified_split,
-                      synth_generate)
+                      specs_from_dicts, specs_to_dicts, split_indices,
+                      stratified_split, synth_generate)
 from iec.ensemble import network_input
 from iec.hddt import best_split_categorical
 
@@ -385,6 +385,40 @@ class TestStratifiedSplit:
                 for count, full in ((neg, n_neg), (pos, n_pos)):
                     expected = full * side.n / d.n
                     assert abs(count - expected) <= 1.0 + 1e-9
+
+
+def split_cases():
+    """TestStratifiedSplit's splits: (negatives, positives, fraction, data seed, split seed)."""
+    cases = [(80, 20, 0.7, 0, 9), (2, 2, 0.5, 0, 1), (30, 10, 0.7, 0, 123)]
+    rng = np.random.default_rng(17)  # the draws of test_partition_and_proportions
+    for _ in range(20):
+        n_neg = int(rng.integers(6, 60))
+        n_pos = int(rng.integers(4, n_neg + 1))
+        frac = float(rng.uniform(0.3, 0.8))
+        cases.append((n_neg, n_pos, frac, int(rng.integers(1000)), int(rng.integers(1000))))
+    return cases
+
+
+class TestSplitIndices:
+    @pytest.mark.parametrize("n_neg, n_pos, frac, data_seed, seed", split_cases())
+    def test_rows_are_the_stratified_split(self, n_neg, n_pos, frac, data_seed, seed):
+        d = labelled_dataset(n_neg, n_pos, seed=data_seed)
+        train_idx, test_idx = split_indices(d.labels, frac, seed)
+        train, test = stratified_split(d, frac, seed)
+        for idx, side in ((train_idx, train), (test_idx, test)):
+            assert (np.diff(idx) > 0).all()
+            np.testing.assert_array_equal(d.rows[idx], side.rows)
+            np.testing.assert_array_equal(d.labels[idx], side.labels)
+
+    @pytest.mark.parametrize("n_pos, frac, message", [
+        (10, 0.0, "train_fraction"), (10, 1.7, "train_fraction"), (1, 0.7, "both")])
+    def test_errors_are_the_stratified_split(self, n_pos, frac, message):
+        d = labelled_dataset(10, n_pos)
+        with pytest.raises(ValueError, match=message) as from_split:
+            stratified_split(d, frac, seed=0)
+        with pytest.raises(ValueError, match=message) as from_indices:
+            split_indices(d.labels, frac, seed=0)
+        assert str(from_indices.value) == str(from_split.value)
 
 
 class TestRepeatedEvalProtocol:
