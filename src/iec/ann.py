@@ -28,6 +28,16 @@ the expressions
 on the same memory layouts, so the buffered step gives the bits those
 expressions give.  Reordering any of them (a BLAS ``ones @ delta_h`` in
 place of the row-by-row column sum, say) changes the last bits.
+
+``hidden`` is the step's only n x k array: ``backward`` writes ``delta_h``
+over it once ``grad_c`` is taken, as nothing reads the activations later.
+The elementwise passes over it (``+ b``, the sigmoid and the four passes of
+``delta_h``) run in row blocks of at most ``BLOCK_ELEMENTS`` cells, with
+block-sized scratch and with ``b``, ``c`` and ``delta`` laid out at the
+block's shape; each cell still gets the same one operation, so the same
+bits.  For k >= 2, ``einsum("ij->j")`` adds ``delta_h``'s rows one after
+another, the order of ``sum(axis=0)`` on a C-ordered array, in fewer
+passes; for k = 1 the two pair the terms differently, so ``sum`` stays.
 """
 
 from __future__ import annotations
@@ -49,8 +59,7 @@ def sigmoid(x):
 def _sigmoid(x, out, e):
     """Branch-free logistic of ``x`` into ``out`` (which may be ``x``), using
     ``e`` as scratch.  ``x`` is read before ``out`` is written."""
-    np.abs(x, out=e)
-    np.negative(e, out=e)
+    np.copysign(x, -1.0, out=e)
     np.exp(e, out=e)
     np.greater_equal(x, 0.0, out=out)
     np.maximum(e, out, out=out)
@@ -111,6 +120,10 @@ def hidden_neuron_count(n: int, d_m: int) -> int:
     return max(1, round_half_away(math.sqrt(n / (d_m * math.log(n)))))
 
 
+# Cells per row block of the step's elementwise passes, so a block and its scratch stay in cache.
+BLOCK_ELEMENTS = 1 << 14
+
+
 class _Step:
     """One forward/backward pass over a fixed n x d input, into buffers
     allocated once.
@@ -126,16 +139,26 @@ class _Step:
         n, _ = x.shape
         self.x = x
         self.hidden = np.empty((n, k))
-        self.scratch = np.empty((n, k))
+        self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
         self.out = np.empty(n)
         self.out_scratch = np.empty(n)
         self.grad_w = None
 
+    def _blocks(self, v):
+        """Row blocks of ``hidden``, each with scratch of its shape and the k
+        values ``v`` on each of its rows, where a broadcast operand is slower."""
+        rows = len(self.scratch)
+        v_rows = np.tile(v, (rows, 1))
+        for lo in range(0, len(self.hidden), rows):
+            block = self.hidden[lo:lo + rows]
+            yield lo, block, self.scratch[:len(block)], v_rows[:len(block)]
+
     def forward(self, w, b, c, c0: float) -> np.ndarray:
         self.c = c
         hidden = np.matmul(self.x, w.T, out=self.hidden)
-        hidden += b
-        _sigmoid(hidden, hidden, self.scratch)
+        for _, block, scratch, b_rows in self._blocks(b):
+            block += b_rows
+            _sigmoid(block, block, scratch)
         out = np.matmul(hidden, c, out=self.out)
         out += c0
         return _sigmoid(out, out, self.out_scratch)
@@ -144,7 +167,6 @@ class _Step:
         out, hidden = self.out, self.hidden
         if self.grad_w is None:
             self.delta = np.empty_like(out)
-            self.delta_hidden = np.empty_like(hidden)
             self.grad_w = np.empty((hidden.shape[1], self.x.shape[1]))
             self.grad_b = np.empty(hidden.shape[1])
             self.grad_c = np.empty(hidden.shape[1])
@@ -156,11 +178,18 @@ class _Step:
         delta *= np.subtract(1.0, out, out=self.out_scratch)
         np.matmul(hidden.T, delta, out=self.grad_c)
         grad_c0 = float(delta.sum())
-        delta_hidden = np.multiply(delta[:, np.newaxis], self.c, out=self.delta_hidden)
-        delta_hidden *= hidden
-        delta_hidden *= np.subtract(1.0, hidden, out=self.scratch)
-        np.matmul(delta_hidden.T, self.x, out=self.grad_w)
-        np.sum(delta_hidden, axis=0, out=self.grad_b)
+        # delta_h over hidden; a product of two doubles has the same bits either way round.
+        for lo, block, scratch, c_rows in self._blocks(self.c):
+            np.multiply(np.repeat(delta[lo:lo + len(block)], block.shape[1]).reshape(block.shape),
+                        c_rows, out=scratch)
+            scratch *= block
+            np.subtract(1.0, block, out=block)
+            block *= scratch
+        np.matmul(hidden.T, self.x, out=self.grad_w)
+        if hidden.shape[1] == 1:
+            np.sum(hidden, axis=0, out=self.grad_b)
+        else:
+            np.einsum("ij->j", hidden, out=self.grad_b)
         return loss, grad_c0
 
 

@@ -134,9 +134,11 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
+        self._adopt(np.array(self.rows, dtype=np.float64), np.asarray(self.labels))
+
+    def _adopt(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Check ``rows`` (float64 no caller may write) and ``labels``; keep both read-only."""
         require_unique_names(self.specs)
-        rows = np.array(self.rows, dtype=np.float64)
-        labels = np.asarray(self.labels)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-d matrix")
         if rows.shape[0] < 1:
@@ -177,7 +179,11 @@ class Dataset:
         return self.n - pos, pos
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(self.specs, self.rows[indices], self.labels[indices])
+        # The indexed rows are the subset's one copy (or a view of these read-only rows).
+        subset = object.__new__(Dataset)
+        object.__setattr__(subset, "specs", self.specs)
+        subset._adopt(self.rows[indices], self.labels[indices])
+        return subset
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,13 @@ def _classify(model: IecModel, rows: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 
 def _ann_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
-              train_config: TrainConfig) -> np.ndarray:
-    """The ANN baseline of one fold, the network on every raw feature: its test predictions."""
+              train_config: TrainConfig) -> tuple[np.ndarray]:
+    """The ANN baseline of one fold, the network on every raw feature: (test predictions,)."""
     features = range(dataset.p)
     scaling, net = _train_network(network_input(dataset.rows[train_idx], dataset.specs, features),
                                   dataset.labels[train_idx], train_config)
     test_matrix = network_input(dataset.rows[test_idx], dataset.specs, features)
-    return ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling, out=test_matrix))
+    return (ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling, out=test_matrix)),)
 
 
 def _iec_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
@@ -175,19 +175,20 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
                   seed: int, tree_config: TreeConfig, train_config: TrainConfig) -> dict:
     """Per-fold test-set reports for the ANN, HDDT and IEC classifiers.
 
-    The folds are the splits of ``repeated_eval_protocol``, kept as row
-    indices.  Each fold is two tasks, ``_ann_fold`` and ``_iec_fold``, which
-    take the fold's rows from the dataset.  They run in one forked worker
-    process per CPU this process may use, up to one per task, or in this
-    process where that is one worker or there is no ``fork``; the reports are
-    put together in fold order either way, so they do not depend on
-    scheduling.
+    The folds are the splits of ``split_indices`` at seeds ``seed``,
+    ``seed + 1``, ..., kept as row indices.  Each fold is two tasks,
+    ``_iec_fold`` and ``_ann_fold``, which take the fold's rows from the
+    dataset.  Every fold's ``_iec_fold`` (a tree and a network) comes before
+    every ``_ann_fold`` (a network), so the longest tasks start first.  They
+    run in one forked worker process per CPU this process may use, up to one
+    per task, or in this process where that is one worker or there is no
+    ``fork``; the reports are put together in fold order either way, so they
+    do not depend on scheduling.
     """
     require_protocol(repetitions, train_fraction)
     folds = [split_indices(dataset.labels, train_fraction, seed + i) for i in range(repetitions)]
-    tasks = [task for train_idx, test_idx in folds
-             for task in ((_ann_fold, dataset, train_idx, test_idx, train_config),
-                          (_iec_fold, dataset, train_idx, test_idx, tree_config, train_config))]
+    tasks = ([(_iec_fold, dataset, *fold, tree_config, train_config) for fold in folds] +
+             [(_ann_fold, dataset, *fold, train_config) for fold in folds])
     workers = min(_cpu_count(), len(tasks))
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return _fold_reports(dataset, folds, map(_call, tasks))
@@ -202,15 +203,19 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
 
 
 def _fold_reports(dataset: Dataset, folds, outcomes) -> dict:
-    """The per-fold reports from task results given in task order, two per fold."""
+    """The per-fold reports from task results given in task order: every
+    fold's ``_iec_fold`` result, then every fold's ``_ann_fold`` result.
+    Each result is scored as it comes, so no fold's predictions are kept."""
     results: dict = {"ANN": [], "HDDT": [], "IEC": []}
-    for fold_index, (_, test_idx) in enumerate(folds):
+    for task, names in enumerate([("HDDT", "IEC")] * len(folds) + [("ANN",)] * len(folds)):
+        fold = task % len(folds)
         try:
-            preds = (next(outcomes), *next(outcomes))
+            preds = next(outcomes)
         except Exception as exc:
-            raise RuntimeError(f"benchmark fold {fold_index} failed: {exc}") from exc
-        for reports, fold_preds in zip(results.values(), preds):
-            reports.append(metrics.report(metrics.confusion(fold_preds, dataset.labels[test_idx])))
+            raise RuntimeError(f"benchmark fold {fold} failed: {exc}") from exc
+        test_labels = dataset.labels[folds[fold][1]]
+        for name, fold_preds in zip(names, preds):
+            results[name].append(metrics.report(metrics.confusion(fold_preds, test_labels)))
     return results
 
 

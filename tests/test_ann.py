@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from iec import ann
 from iec.ann import (MlpModel, TrainConfig, classify, classify_batch, forward,
                      forward_batch, hidden_neuron_count, init_model,
                      model_from_dict, model_to_dict, mse_gradients, mse_loss,
@@ -60,6 +62,17 @@ def reference_train(x, y, k, config):
         c -= config.learning_rate * gc
         c0 -= config.learning_rate * gc0
     return w, b, c, c0
+
+
+def each_block_budget(monkeypatch, budgets=(7, 700)):
+    """Run the loop body with the step's row blocks at the default budget and
+    at each of ``budgets`` cells: 7 cells is a row or a few per block, and
+    every shape below with n > 7 then spans several blocks, most of them
+    with a shorter last block."""
+    for budget in (ann.BLOCK_ELEMENTS, *budgets):
+        with monkeypatch.context() as patch:
+            patch.setattr(ann, "BLOCK_ELEMENTS", budget)
+            yield budget
 
 
 def assert_same_bits(actual, expected):
@@ -148,14 +161,16 @@ class TestForward:
         with pytest.raises(ValueError, match="inputs"):
             forward_batch(zero_model(d=2), np.zeros((3, 5)))
 
-    def test_bit_identical_to_reference(self):
+    def test_bit_identical_to_reference(self, monkeypatch):
         rng = np.random.default_rng(8)
-        for n, d, k in ((1, 1, 1), (3, 2, 1), (300, 6, 3), (2000, 33, 5)):
+        for n, d, k in ((1, 1, 1), (3, 2, 1), (300, 6, 3), (2000, 33, 5), (1003, 4, 1),
+                        (5001, 7, 8)):
             model = init_model(d, k, seed=n, init_scale=2.0)
             x = rng.uniform(-1, 2, size=(n, d))
             expected, _ = reference_forward(model.hidden_weights, model.hidden_biases,
                                             model.output_weights, model.output_bias, x)
-            assert_same_bits(forward_batch(model, x), expected)
+            for _ in each_block_budget(monkeypatch):
+                assert_same_bits(forward_batch(model, x), expected)
 
     def test_batch_matches_single(self):
         model = init_model(3, 2, seed=99)
@@ -196,18 +211,19 @@ class TestGradients:
                 finite_difference_gradients(model, x, y)))
         assert worst < 1e-5
 
-    def test_bit_identical_to_reference(self):
+    def test_bit_identical_to_reference(self, monkeypatch):
         rng = np.random.default_rng(2)
-        for n, d, k in ((3, 2, 1), (300, 6, 3), (2000, 33, 5)):
+        for n, d, k in ((3, 2, 1), (300, 6, 3), (2000, 33, 5), (1003, 4, 1), (5001, 7, 8)):
             model = init_model(d, k, seed=n, init_scale=1.0)
             x = rng.uniform(0, 1, size=(n, d))
             y = rng.integers(0, 2, size=n).astype(float)
             loss, *expected = reference_gradients(
                 model.hidden_weights, model.hidden_biases, model.output_weights,
                 model.output_bias, x, y)
-            for actual, want in zip(mse_gradients(model, x, y), expected):
-                assert_same_bits(actual, want)
-            assert_same_bits(mse_loss(model, x, y), loss)
+            for _ in each_block_budget(monkeypatch):
+                for actual, want in zip(mse_gradients(model, x, y), expected):
+                    assert_same_bits(actual, want)
+                assert_same_bits(mse_loss(model, x, y), loss)
 
     def test_input_validation(self):
         model = zero_model(d=2, k=1)
@@ -282,18 +298,41 @@ class TestTrain:
         assert a.output_bias == b.output_bias
 
     @pytest.mark.parametrize("n, d, k, learning_rate", [
-        (3, 1, 1, 0.3), (300, 6, 3, 0.3), (2000, 33, 5, 2.0)])
-    def test_weights_bit_identical_to_reference(self, n, d, k, learning_rate):
+        (3, 1, 1, 0.3), (300, 6, 3, 0.3), (2000, 33, 5, 2.0), (1003, 4, 1, 2.0),
+        (5001, 7, 8, 2.0)])
+    def test_weights_bit_identical_to_reference(self, n, d, k, learning_rate, monkeypatch):
         rng = np.random.default_rng(n)
         x = rng.uniform(0, 1, size=(n, d))
         y = (rng.uniform(size=n) < 0.3).astype(float)
         config = TrainConfig(epochs=50, learning_rate=learning_rate, seed=k)
-        model = train(x, y, k, config)
         w, b, c, c0 = reference_train(x, y, k, config)
-        assert_same_bits(model.hidden_weights, w)
-        assert_same_bits(model.hidden_biases, b)
-        assert_same_bits(model.output_weights, c)
-        assert_same_bits(model.output_bias, c0)
+        # Blocks of a row or two cost a loop turn per row and epoch: small n only.
+        for _ in each_block_budget(monkeypatch, (7, 700) if n < 1000 else (700,)):
+            model = train(x, y, k, config)
+            assert_same_bits(model.hidden_weights, w)
+            assert_same_bits(model.hidden_biases, b)
+            assert_same_bits(model.output_weights, c)
+            assert_same_bits(model.output_bias, c0)
+
+    def test_the_step_holds_one_n_by_k_array(self):
+        # The activations are overwritten by the hidden-layer deltas, and the
+        # elementwise passes use block-sized scratch: about 1.7x n*k doubles
+        # here for training, 1.5x for a forward pass.  Separate scratch and
+        # delta arrays of n x k cost 3.5x and 2.3x.
+        n, d, k = 20_000, 3, 8
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0, 1, size=(n, d))
+        y = (rng.uniform(size=n) < 0.3).astype(float)
+        model = init_model(d, k, seed=1)
+        for run in (lambda: train(x, y, k, TrainConfig(epochs=2)),
+                    lambda: forward_batch(model, x)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * n * k * 8
 
     def test_non_finite_loss_reports_epoch(self):
         x = np.array([[np.nan, 1.0], [0.0, 1.0]])

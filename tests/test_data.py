@@ -541,6 +541,34 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="0 and 1"):
             continuous_dataset([[1.0]], [2])
 
+    def test_subset_copies_its_rows_once(self):
+        # The indexed rows are the subset's copy; copying them again cost 2.19x.
+        d = synth_generate(10_000, 8, 24, 0.2, seed=1)
+        tracemalloc.start()
+        try:
+            sub = d.subset(np.arange(0, d.n, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.n == 5000
+        assert peak <= 1.2 * sub.rows.nbytes
+
+    def test_neither_constructor_nor_subset_freezes_a_callers_array(self):
+        rows, labels = np.arange(10.0).reshape(5, 2), np.array([0, 1, 0, 1, 1])
+        d = continuous_dataset(rows, labels)
+        sub = d.subset(np.array([4, 0, 2]))
+        assert rows.flags.writeable and labels.flags.writeable
+        assert not np.shares_memory(d.rows, rows) and not np.shares_memory(sub.rows, d.rows)
+        assert not sub.rows.flags.writeable and not sub.labels.flags.writeable
+        assert sub.labels.dtype == np.int64
+        np.testing.assert_array_equal(sub.rows, rows[[4, 0, 2]])
+        np.testing.assert_array_equal(sub.labels, [1, 0, 0])
+
+    @pytest.mark.parametrize("indices", [[], np.array([], dtype=np.int64)], ids=["list", "array"])
+    def test_empty_subset_rejected(self, indices):
+        with pytest.raises(ValueError, match="dataset needs at least one row"):
+            labelled_dataset(3, 2).subset(indices)
+
     @pytest.mark.parametrize("labels", [[0.5, 1], [np.nan, 1]], ids=["half", "nan"])
     def test_labels_checked_before_the_cast(self, labels):
         # The int64 cast made 0.5 a 0 and failed on NaN with numpy's own message.

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from iec import ann, ensemble, hddt
+from iec import ann, ensemble, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, ScalingParams,
-                      min_max_apply_matrix, min_max_fit_matrix, synth_generate)
+                      min_max_apply_matrix, min_max_fit_matrix, split_indices,
+                      synth_generate)
 from iec.ensemble import (IecModel, fit, model_from_dict, model_to_dict, network_input,
                           predict, run_benchmark)
 from iec.hddt import Leaf, hellinger_split_score
@@ -295,6 +296,54 @@ class TestRunBenchmark:
         run_benchmark(d, repetitions=3, train_fraction=0.7, seed=0,
                       tree_config=hddt.TreeConfig(), train_config=TrainConfig(epochs=10))
         assert passes == [140, 60] * 3
+
+    @pytest.mark.parametrize("task", ["_ann_fold", "_iec_fold"])
+    def test_failed_fold_is_named_by_its_fold(self, task, monkeypatch):
+        # Only fold 2 fails; its two tasks are the 3rd and the 6th of six.
+        d = synth_generate(200, 3, 2, 0.25, seed=3)
+        failing_train_idx, _ = split_indices(d.labels, 0.7, 2)
+        fold_task = getattr(ensemble, task)
+
+        def fail_on_fold_2(dataset, train_idx, *args):
+            if np.array_equal(train_idx, failing_train_idx):
+                raise ValueError("planted failure")
+            return fold_task(dataset, train_idx, *args)
+
+        monkeypatch.setattr(ensemble, task, fail_on_fold_2)
+        for cpus in (1, 2):  # in this process, and in a worker
+            monkeypatch.setattr(ensemble, "_cpu_count", lambda: cpus)
+            with pytest.raises(RuntimeError, match="^benchmark fold 2 failed: planted failure$"):
+                run_benchmark(d, 3, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10))
+
+    def test_iec_tasks_run_first_and_reports_stay_in_fold_order(self, monkeypatch):
+        # The longest tasks, a tree and a network each, start first.
+        d = synth_generate(200, 3, 2, 0.25, seed=3)
+        configs = (hddt.TreeConfig(), TrainConfig(epochs=10))
+        folds = [split_indices(d.labels, 0.7, 5 + i) for i in range(3)]
+        expected = {"ANN": [], "HDDT": [], "IEC": []}
+        for train_idx, test_idx in folds:
+            preds = (*ensemble._ann_fold(d, train_idx, test_idx, configs[1]),
+                     *ensemble._iec_fold(d, train_idx, test_idx, *configs))
+            for name, fold_preds in zip(expected, preds):
+                report = metrics.report(metrics.confusion(fold_preds, d.labels[test_idx]))
+                expected[name].append(report.to_dict())
+        calls = []
+
+        def spy(name):
+            fold_task = getattr(ensemble, name)
+
+            def record(dataset, train_idx, *args):
+                calls.append((name, [np.array_equal(train_idx, f[0]) for f in folds].index(True)))
+                return fold_task(dataset, train_idx, *args)
+            return record
+
+        for name in ("_iec_fold", "_ann_fold"):
+            monkeypatch.setattr(ensemble, name, spy(name))
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)  # see the calls in this process
+        results = run_benchmark(d, 3, 0.7, 5, *configs)
+        assert calls == [("_iec_fold", i) for i in range(3)] + [("_ann_fold", i) for i in range(3)]
+        assert {name: [r.to_dict() for r in reports] for name, reports in results.items()} == \
+            expected
 
     def test_workers_give_the_serial_reports(self, monkeypatch):
         d = mixed_dataset(300, seed=4)
