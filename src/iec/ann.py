@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import fields, require_int, require_number, require_numbers, round_half_away
+from iec.data import (fields, require_int, require_matrix, require_number, require_numbers,
+                      round_half_away)
 
 
 def sigmoid(x):
@@ -113,10 +114,7 @@ def hidden_neuron_count(n: int, d_m: int) -> int:
 
     Halves round away from zero.
     """
-    if n < 3:
-        raise ValueError("need n >= 3 training rows")
-    if d_m < 1:
-        raise ValueError("d_m must be >= 1")
+    n, d_m = require_int("n", n, 3), require_int("d_m", d_m, 1)
     return max(1, round_half_away(math.sqrt(n / (d_m * math.log(n)))))
 
 
@@ -203,10 +201,7 @@ def _run_step(model: MlpModel, x: np.ndarray) -> _Step:
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network outputs in (0, 1), one per row of ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(f"inputs must be n x {model.input_dim}")
-    return _run_step(model, x).out
+    return _run_step(model, require_matrix("x", x, model.input_dim)).out
 
 
 def forward(model: MlpModel, z) -> float:
@@ -241,10 +236,10 @@ def mse_gradients(model: MlpModel, x: np.ndarray, targets):
     Returns (grad_hidden_weights, grad_hidden_biases, grad_output_weights,
     grad_output_bias).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = require_matrix("x", x, model.input_dim)
     targets = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim or targets.shape != (x.shape[0],):
-        raise ValueError("inputs must be n x input_dim with one target per row")
+    if targets.shape != (x.shape[0],):
+        raise ValueError("one target per input row required")
     step = _run_step(model, x)
     _, grad_c0 = step.backward(targets)
     return step.grad_w, step.grad_b, step.grad_c, grad_c0
@@ -274,10 +269,8 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
     Inputs are expected to be scaled to [0, 1].  Raises FloatingPointError
     if the loss goes non-finite, reporting the epoch.
     """
-    x = np.asarray(train_rows, dtype=np.float64)
+    x = require_matrix("train_rows", train_rows)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("training rows must form a 2-d matrix")
     if y.shape != (x.shape[0],):
         raise ValueError("one target per training row required")
 

@@ -184,7 +184,7 @@ def cmd_evaluate(args):
         preds = np.zeros(dataset.n, dtype=np.int64)
     else:
         try:
-            with open(args.model, encoding="utf-8") as fh:
+            with open(args.model, encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"{args.model}: {exc}") from None

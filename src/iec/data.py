@@ -40,6 +40,24 @@ def require_int(name: str, value, minimum: int, maximum: int | None = None):
     return value
 
 
+def require_labels(name: str, values) -> np.ndarray:
+    """``values`` as an array if every item is 0 or 1, else a ValueError naming ``name``."""
+    values = np.asarray(values)
+    ok = np.isin(values, (0, 1))
+    if not ok.all():
+        raise ValueError(f"{name} must be 0 or 1, got {values[~ok][0].item()!r}")
+    return values
+
+
+def require_matrix(name: str, x, width: int | None = None) -> np.ndarray:
+    """``x`` as a float64 2-d array of ``width`` columns (any if None), else a ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or (width is not None and x.shape[1] != width):
+        of_width = "" if width is None else f" of width {width}"
+        raise ValueError(f"{name} must be a 2-d matrix{of_width}, got shape {x.shape}")
+    return x
+
+
 def require_list(name: str, value, nonempty: bool = False):
     """``value`` if it is a list or tuple, non-empty if ``nonempty``, else a ValueError."""
     if not isinstance(value, (list, tuple)) or (nonempty and not value):
@@ -139,20 +157,13 @@ class Dataset:
     def _adopt(self, rows: np.ndarray, labels: np.ndarray) -> None:
         """Check ``rows`` (float64 no caller may write) and ``labels``; keep both read-only."""
         require_unique_names(self.specs)
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-d matrix")
+        rows = require_matrix("rows", rows, len(self.specs))
         if rows.shape[0] < 1:
             raise ValueError("dataset needs at least one row")
-        if rows.shape[1] != len(self.specs):
-            raise ValueError(
-                f"row width {rows.shape[1]} does not match {len(self.specs)} feature specs"
-            )
         if labels.shape != (rows.shape[0],):
             raise ValueError("labels must be one per row")
         # Checked before the cast, which would truncate 0.5 to 0 and fail on NaN.
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must contain only 0 and 1")
-        labels = labels.astype(np.int64)
+        labels = require_labels("labels", labels).astype(np.int64)
         finite = np.isfinite(rows)
         if not finite.all():
             r, j = np.argwhere(~finite)[0]
@@ -335,14 +346,12 @@ def min_max_apply_matrix(x: np.ndarray, s: ScalingParams, out: np.ndarray | None
     column takes the affine map, clamped so unseen out-of-range values stay
     in [0, 1].
     """
-    x = np.asarray(x, dtype=np.float64)
-    if len(s.mins) != x.shape[1]:
-        raise ValueError(f"scaling params cover {len(s.mins)} columns, matrix has {x.shape[1]}")
+    x = require_matrix("x", x, len(s.mins))
     lo, hi = np.array(s.mins), np.array(s.maxs)
     # A column spanning more than the float64 maximum is scaled in halves, so
     # no difference overflows; halving is exact, and other columns take * 1.0.
     with np.errstate(over="ignore"):
-        half = np.where(np.isinf(hi - lo), 0.5, 1.0)
+        half = np.where(np.isfinite(hi - lo), 1.0, 0.5)
     lo, span = lo * half, hi * half - lo * half
     constant = span == 0.0
     out = np.multiply(x, half, out=out)

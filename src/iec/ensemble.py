@@ -24,7 +24,7 @@ from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes, fields,
                       min_max_apply_matrix, min_max_fit_matrix, require_int, require_list,
-                      require_protocol, split_indices)
+                      require_matrix, require_protocol, split_indices)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -65,9 +65,7 @@ def network_input(rows: np.ndarray, specs, selected, op=None) -> np.ndarray:
     m indicator columns.  ``op`` (the tree's prediction, the OP column), when
     given, is the last column.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != len(specs):
-        raise ValueError(f"rows must be n x {len(specs)}")
+    rows = require_matrix("rows", rows, len(specs))
     if not selected:
         raise ValueError("feature selection cannot be empty")
     n = rows.shape[0]

@@ -26,14 +26,13 @@ one ``bincount``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, fields, require_int,
-                      require_list, require_number, require_numbers, require_unique_names,
-                      specs_from_dicts, specs_to_dicts)
+                      require_labels, require_list, require_matrix, require_number,
+                      require_numbers, require_unique_names, specs_from_dicts, specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -100,12 +99,10 @@ def hellinger_split_score(partition_counts) -> float:
     Requires at least two partitions and at least one example of each class in
     the node overall; individual partitions may be pure or empty of one class.
     """
-    pairs = [(p, n) for p, n in partition_counts]
+    pairs = [(require_int("partition count", p, 0), require_int("partition count", n, 0))
+             for p, n in partition_counts]
     if len(pairs) < 2:
         raise ValueError("a split needs at least two partitions")
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0
-           for pair in pairs for v in pair):
-        raise ValueError(f"partition counts must be non-negative integers, got {pairs}")
     pos, neg = np.array(pairs, dtype=np.int64).T
     return _hellinger(pos, neg)
 
@@ -134,11 +131,9 @@ def _terms(pos: np.ndarray, neg: np.ndarray, total_pos: float, total_neg: float)
 
 def _split_inputs(values, labels) -> tuple[np.ndarray, np.ndarray]:
     """``values`` (as float64) and ``labels`` as equal-length vectors, labels only 0 and 1."""
-    values, labels = np.asarray(values, dtype=np.float64), np.asarray(labels)
+    values, labels = np.asarray(values, dtype=np.float64), require_labels("labels", labels)
     if values.shape != labels.shape or values.ndim != 1:
         raise ValueError("values and labels must be equal-length vectors")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must contain only 0 and 1")
     return values, labels
 
 
@@ -383,10 +378,7 @@ def _branch(split: SplitCandidate, values: np.ndarray, unlisted: int) -> np.ndar
 
 def predict(model: HddtModel, rows: np.ndarray) -> np.ndarray:
     """Route each row to a leaf and return the leaf labels."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != len(model.specs):
-        raise ValueError(f"rows have width {rows.shape[-1] if rows.ndim == 2 else '?'}, "
-                         f"model expects {len(model.specs)}")
+    rows = require_matrix("rows", rows, len(model.specs))
     out = np.empty(rows.shape[0], dtype=np.int64)
     stack = [(model.root, np.arange(rows.shape[0]))]
     while stack:

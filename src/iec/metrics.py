@@ -9,12 +9,9 @@ is zero evaluates to 0, the pessimistic convention for imbalanced data.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
-from iec.data import require_number
+from iec.data import require_int, require_labels, require_number
 
 METRIC_NAMES = ("precision", "sensitivity", "specificity", "g_mean", "auc",
                 "f_measure", "accuracy")
@@ -32,9 +29,8 @@ class ConfusionMatrix:
     fn: int
 
     def __post_init__(self):
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0
-               for v in (self.tp, self.fp, self.tn, self.fn)):
-            raise ValueError("confusion counts must be non-negative integers")
+        for name in ("tp", "fp", "tn", "fn"):
+            require_int(name, getattr(self, name), 0)
         if self.total < 1:
             raise ValueError("confusion matrix must cover at least one row")
 
@@ -63,14 +59,9 @@ class MetricsReport:
 
 def confusion(predicted, actual) -> ConfusionMatrix:
     """Count prediction outcomes against ground truth (both 0/1 vectors)."""
-    pred = np.asarray(predicted)
-    act = np.asarray(actual)
+    pred, act = require_labels("predicted", predicted), require_labels("actual", actual)
     if pred.shape != act.shape or pred.ndim != 1:
         raise ValueError("predicted and actual must be equal-length vectors")
-    if pred.size == 0:
-        raise ValueError("cannot evaluate an empty prediction vector")
-    if not (np.isin(pred, (0, 1)).all() and np.isin(act, (0, 1)).all()):
-        raise ValueError("labels must be 0 or 1")
     return ConfusionMatrix(
         tp=int(((pred == 1) & (act == 1)).sum()),
         fp=int(((pred == 1) & (act == 0)).sum()),

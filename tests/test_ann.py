@@ -94,9 +94,9 @@ class TestHiddenNeuronCount:
         assert hidden_neuron_count(10000, 6) > hidden_neuron_count(1000, 6)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="n >= 3"):
+        with pytest.raises(ValueError, match="n must be an integer >= 3, got 2"):
             hidden_neuron_count(2, 4)
-        with pytest.raises(ValueError, match="d_m"):
+        with pytest.raises(ValueError, match="d_m must be an integer >= 1, got 0"):
             hidden_neuron_count(100, 0)
 
 
@@ -158,7 +158,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             forward(zero_model(d=2), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError, match="inputs"):
+        with pytest.raises(ValueError, match="x must be a 2-d matrix of width 2, got shape"):
             forward_batch(zero_model(d=2), np.zeros((3, 5)))
 
     def test_bit_identical_to_reference(self, monkeypatch):

@@ -387,6 +387,17 @@ class TestEvaluate:
         assert code == 1
         assert message in err and "absent.csv" not in err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # A model file that starts with a UTF-8 byte-order mark reads as the
+        # same file without it, as a CSV or a config file does.
+        data, model_path = self.fit_model(tmp_path, capsys)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(model_path).read_bytes())
+        plain, with_mark = (run(capsys, ["evaluate", "--model", str(path), "--data", data])
+                            for path in (model_path, marked))
+        assert plain[0] == 0
+        assert with_mark == plain
+
     # The numeric model's root splits x (continuous); the categorical model's
     # root splits color into its two categories.  Both roots have leaf
     # children, so the pre-order nodes are the root and its two leaves.

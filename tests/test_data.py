@@ -7,7 +7,7 @@ import pytest
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
                       ScalingParams, category_codes, fields, imbalance_cv, load_csv,
                       min_max_apply_matrix, min_max_fit_matrix,
-                      repeated_eval_protocol,
+                      repeated_eval_protocol, require_labels, require_matrix,
                       specs_from_dicts, specs_to_dicts, split_indices,
                       stratified_split, synth_generate)
 from iec.ensemble import network_input
@@ -194,6 +194,22 @@ class TestFields:
             fields(doc, "doc", "a", "b")
 
 
+class TestInputRuleOwners:
+    # tests/test_input_rules.py holds each site's rejection; these are the passes.
+    def test_labels_returned_as_an_array(self):
+        labels = require_labels("labels", [0, 1, 1])
+        assert isinstance(labels, np.ndarray) and labels.tolist() == [0, 1, 1]
+
+    def test_matrix_returned_as_float64_without_a_copy(self):
+        x = np.zeros((2, 3))
+        assert require_matrix("x", x, 3) is x
+        assert require_matrix("x", [[1, 2]]).dtype == np.float64
+
+    def test_nan_is_a_value_not_a_shape_fault(self):
+        # hddt.predict routes NaN to the right child, so the matrix rule lets it through.
+        assert np.isnan(require_matrix("x", [[np.nan]], 1)).all()
+
+
 class TestMinMax:
     def test_fit_records_extrema(self):
         s = min_max_fit_matrix([[2.0], [4.0], [10.0]])
@@ -231,7 +247,7 @@ class TestMinMax:
 
     def test_apply_spec_mismatch(self):
         s = ScalingParams((1.0,), (3.0,))
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match="x must be a 2-d matrix of width 1, got shape"):
             min_max_apply_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]), s)
 
     def test_matrix_helpers(self):
@@ -240,7 +256,7 @@ class TestMinMax:
         out = min_max_apply_matrix(x, s)
         np.testing.assert_allclose(out[:, 0], [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(out[:, 1], [0.5, 0.5, 0.5])
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match="x must be a 2-d matrix of width 2, got shape"):
             min_max_apply_matrix(np.zeros((2, 3)), s)
 
     def test_apply_matches_where_form_bit_for_bit(self):
@@ -538,7 +554,7 @@ class TestDatasetInvariants:
             d.labels[0] = 1
 
     def test_label_values_checked(self):
-        with pytest.raises(ValueError, match="0 and 1"):
+        with pytest.raises(ValueError, match="labels must be 0 or 1, got 2"):
             continuous_dataset([[1.0]], [2])
 
     def test_subset_copies_its_rows_once(self):
@@ -572,7 +588,7 @@ class TestDatasetInvariants:
     @pytest.mark.parametrize("labels", [[0.5, 1], [np.nan, 1]], ids=["half", "nan"])
     def test_labels_checked_before_the_cast(self, labels):
         # The int64 cast made 0.5 a 0 and failed on NaN with numpy's own message.
-        with pytest.raises(ValueError, match="labels must contain only 0 and 1"):
+        with pytest.raises(ValueError, match="labels must be 0 or 1, got "):
             Dataset((FeatureSpec("x", CONTINUOUS),), [[1.0], [2.0]], labels)
 
     def test_category_indices_checked(self):

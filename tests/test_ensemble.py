@@ -120,9 +120,9 @@ class TestAugment:
 
     def test_schema_mismatch(self):
         d = separable_dataset()
-        with pytest.raises(ValueError, match="n x 2"):
+        with pytest.raises(ValueError, match="rows must be a 2-d matrix of width 2"):
             network_input(np.zeros((2, 5)), d.specs, [0], op=np.zeros(2))
-        with pytest.raises(ValueError, match="n x 2"):
+        with pytest.raises(ValueError, match="rows must be a 2-d matrix of width 2"):
             network_input(np.zeros(2), d.specs, [0])
 
     def test_expand_rejects_invalid_category(self):
@@ -489,10 +489,12 @@ class TestSerialization:
         (lambda: ScalingParams(("a",), (1.0,)), "scaling mins must be"),
         (lambda: ScalingParams(0.0, (1.0,)), "scaling mins must be"),
         (lambda: MetricsReport("0.5", 0.5, 0.5, 0.5, 0.5, 0.5, 0.5), "precision must be"),
-        (lambda: ConfusionMatrix(2.0, 0, 1, 0), "non-negative integers"),
-        (lambda: ConfusionMatrix(True, 0, 1, 0), "non-negative integers"),
-        (lambda: hellinger_split_score([(1.5, 2), (2, 1)]), "non-negative integers"),
-        (lambda: hellinger_split_score([(True, 2), (2, 1)]), "non-negative integers"),
+        (lambda: ConfusionMatrix(2.0, 0, 1, 0), "tp must be an integer >= 0, got 2.0"),
+        (lambda: ConfusionMatrix(True, 0, 1, 0), "tp must be an integer >= 0, got True"),
+        (lambda: hellinger_split_score([(1.5, 2), (2, 1)]),
+         "partition count must be an integer >= 0, got 1.5"),
+        (lambda: hellinger_split_score([(True, 2), (2, 1)]),
+         "partition count must be an integer >= 0, got True"),
     ], ids=["string-categories", "number-categories", "float-input_dim", "bool-input_dim",
             "bool-hidden-bias", "string-min", "scalar-mins", "string-metric", "float-count",
             "bool-count", "float-partition-count", "bool-partition-count"])

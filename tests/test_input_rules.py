@@ -1,0 +1,83 @@
+"""One table of the package's shared input rules: every site that takes a count, 0/1
+labels or an input matrix, with an input it must reject and the message of the rule's
+one owner in ``iec.data`` (``require_int``, ``require_labels``, ``require_matrix``)."""
+
+import re
+
+import numpy as np
+import pytest
+
+from iec import ann, hddt
+from iec.ann import TrainConfig, forward_batch, hidden_neuron_count, init_model, mse_gradients
+from iec.data import CONTINUOUS, Dataset, FeatureSpec, ScalingParams, min_max_apply_matrix
+from iec.ensemble import network_input
+from iec.hddt import best_split_categorical, best_split_numeric, hellinger_split_score
+from iec.metrics import ConfusionMatrix, confusion
+
+SPECS = (FeatureSpec("a", CONTINUOUS), FeatureSpec("b", CONTINUOUS))
+TREE = hddt.grow_tree(Dataset(SPECS, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
+                              [0, 1, 0, 1]))
+NET = init_model(2, 1, 0)
+SCALING = ScalingParams((0.0, 0.0), (1.0, 1.0))
+ROW = np.zeros(2)
+WIDE = np.zeros((2, 3))
+NOT_2D = "must be a 2-d matrix of width 2, got shape (2,)"
+TOO_WIDE = "must be a 2-d matrix of width 2, got shape (2, 3)"
+
+CASES = [
+    # Counts: require_int.
+    ("ConfusionMatrix-negative", lambda: ConfusionMatrix(-1, 0, 1, 0),
+     "tp must be an integer >= 0, got -1"),
+    ("ConfusionMatrix-float", lambda: ConfusionMatrix(0, 1.5, 1, 0),
+     "fp must be an integer >= 0, got 1.5"),
+    ("ConfusionMatrix-bool", lambda: ConfusionMatrix(0, 0, True, 1),
+     "tn must be an integer >= 0, got True"),
+    ("hellinger_split_score-negative", lambda: hellinger_split_score([(1, -1), (2, 1)]),
+     "partition count must be an integer >= 0, got -1"),
+    ("hellinger_split_score-float", lambda: hellinger_split_score([(1, 2), (1.5, 1)]),
+     "partition count must be an integer >= 0, got 1.5"),
+    ("hellinger_split_score-bool", lambda: hellinger_split_score([(1, 2), (2, True)]),
+     "partition count must be an integer >= 0, got True"),
+    ("hidden_neuron_count-n-negative", lambda: hidden_neuron_count(-1, 2),
+     "n must be an integer >= 3, got -1"),
+    ("hidden_neuron_count-n-float", lambda: hidden_neuron_count(100.5, 2),
+     "n must be an integer >= 3, got 100.5"),
+    ("hidden_neuron_count-d_m-float", lambda: hidden_neuron_count(100, 2.5),
+     "d_m must be an integer >= 1, got 2.5"),
+    ("hidden_neuron_count-d_m-bool", lambda: hidden_neuron_count(100, True),
+     "d_m must be an integer >= 1, got True"),
+    # 0/1 labels: require_labels.
+    ("Dataset-label", lambda: Dataset(SPECS, [[0.0, 1.0], [1.0, 0.0]], [0, 2]),
+     "labels must be 0 or 1, got 2"),
+    ("best_split_numeric-label", lambda: best_split_numeric([1.0, 2.0], [0, 2]),
+     "labels must be 0 or 1, got 2"),
+    ("best_split_categorical-label", lambda: best_split_categorical([0.0, 1.0], [2, 1], 2),
+     "labels must be 0 or 1, got 2"),
+    ("confusion-predicted", lambda: confusion([0, 2], [0, 1]),
+     "predicted must be 0 or 1, got 2"),
+    ("confusion-actual", lambda: confusion([0, 1], [2, 1]),
+     "actual must be 0 or 1, got 2"),
+    # Input matrices: require_matrix.
+    ("Dataset-1d", lambda: Dataset(SPECS, ROW, [0]), "rows " + NOT_2D),
+    ("Dataset-width", lambda: Dataset(SPECS, WIDE, [0, 1]), "rows " + TOO_WIDE),
+    ("network_input-1d", lambda: network_input(ROW, SPECS, [0]), "rows " + NOT_2D),
+    ("network_input-width", lambda: network_input(WIDE, SPECS, [0]), "rows " + TOO_WIDE),
+    ("hddt.predict-1d", lambda: hddt.predict(TREE, ROW), "rows " + NOT_2D),
+    ("hddt.predict-width", lambda: hddt.predict(TREE, WIDE), "rows " + TOO_WIDE),
+    ("forward_batch-1d", lambda: forward_batch(NET, ROW), "x " + NOT_2D),
+    ("forward_batch-width", lambda: forward_batch(NET, WIDE), "x " + TOO_WIDE),
+    ("mse_gradients-1d", lambda: mse_gradients(NET, ROW, [0.0]), "x " + NOT_2D),
+    ("mse_gradients-width", lambda: mse_gradients(NET, WIDE, [0.0, 1.0]), "x " + TOO_WIDE),
+    ("train-1d", lambda: ann.train(ROW, [0.0, 1.0], 1, TrainConfig(epochs=1)),
+     "train_rows must be a 2-d matrix, got shape (2,)"),
+    ("min_max_apply_matrix-1d", lambda: min_max_apply_matrix(ROW, SCALING), "x " + NOT_2D),
+    ("min_max_apply_matrix-width", lambda: min_max_apply_matrix(WIDE, SCALING), "x " + TOO_WIDE),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(call, message, id=site)
+                                           for site, call, message in CASES])
+def test_each_site_rejects_with_the_owners_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+

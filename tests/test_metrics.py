@@ -32,11 +32,11 @@ class TestConfusion:
     def test_length_mismatch_and_empty(self):
         with pytest.raises(ValueError, match="equal-length"):
             confusion([1, 0], [1])
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="confusion matrix must cover at least one row"):
             confusion([], [])
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
+        with pytest.raises(ValueError, match="predicted must be 0 or 1, got 2"):
             confusion([2, 0], [1, 0])
 
     def test_permutation_invariance(self):
@@ -128,7 +128,7 @@ class TestMeanReport:
 
 class TestValidationAndFormats:
     def test_confusion_matrix_invariants(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="tp must be an integer >= 0, got -1"):
             ConfusionMatrix(-1, 0, 2, 0)
         with pytest.raises(ValueError, match="at least one"):
             ConfusionMatrix(0, 0, 0, 0)
