@@ -17,6 +17,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -124,18 +125,19 @@ def _classify(model: IecModel, rows: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 
 def _ann_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
-              train_config: TrainConfig) -> tuple[np.ndarray]:
-    """The ANN baseline of one fold, the network on every raw feature: (test predictions,)."""
+              train_config: TrainConfig) -> dict:
+    """The ANN baseline of one fold, the network on every raw feature: {"ANN": test report}."""
     features = range(dataset.p)
     scaling, net = _train_network(network_input(dataset.rows[train_idx], dataset.specs, features),
                                   dataset.labels[train_idx], train_config)
     test_matrix = network_input(dataset.rows[test_idx], dataset.specs, features)
-    return (ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling, out=test_matrix)),)
+    preds = ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling, out=test_matrix))
+    return {"ANN": metrics.report(metrics.confusion(preds, dataset.labels[test_idx]))}
 
 
 def _iec_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
-              tree_config: TreeConfig, train_config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The HDDT and IEC test predictions of one fold.
+              tree_config: TreeConfig, train_config: TrainConfig) -> dict:
+    """The HDDT and IEC test reports of one fold: {"HDDT": report, "IEC": report}.
 
     The HDDT baseline is the tree inside the fold's IEC model: growth is a
     pure function of the training rows and the tree config, so a second tree
@@ -143,14 +145,11 @@ def _iec_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     also the model's OP column, so the test rows pass through it once.
     """
     model = fit(dataset.subset(train_idx), tree_config, train_config)
-    test_rows = dataset.rows[test_idx]
+    test_rows, test_labels = dataset.rows[test_idx], dataset.labels[test_idx]
     tree_preds = hddt.predict(model.tree, test_rows)
-    return tree_preds, _classify(model, test_rows, tree_preds)
-
-
-def _call(task: tuple):
-    function, *args = task
-    return function(*args)
+    iec_preds = _classify(model, test_rows, tree_preds)
+    return {"HDDT": metrics.report(metrics.confusion(tree_preds, test_labels)),
+            "IEC": metrics.report(metrics.confusion(iec_preds, test_labels))}
 
 
 def _adopt(tasks: list) -> None:
@@ -159,8 +158,8 @@ def _adopt(tasks: list) -> None:
     _tasks = tasks
 
 
-def _call_index(i: int):
-    return _call(_tasks[i])
+def _call_index(i: int) -> dict:
+    return _tasks[i]()
 
 
 def _cpu_count() -> int:
@@ -175,45 +174,41 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
 
     The folds are the splits of ``split_indices`` at seeds ``seed``,
     ``seed + 1``, ..., kept as row indices.  Each fold is two tasks,
-    ``_iec_fold`` and ``_ann_fold``, which take the fold's rows from the
-    dataset.  Every fold's ``_iec_fold`` (a tree and a network) comes before
-    every ``_ann_fold`` (a network), so the longest tasks start first.  They
-    run in one forked worker process per CPU this process may use, up to one
-    per task, or in this process where that is one worker or there is no
-    ``fork``; the reports are put together in fold order either way, so they
-    do not depend on scheduling.
+    ``_iec_fold`` and ``_ann_fold``, which score the fold's own test rows and
+    return their reports by classifier name.  Every fold's ``_iec_fold`` (a
+    tree and a network) comes before every ``_ann_fold`` (a network), so the
+    longest tasks start first.  They run in one forked worker process per CPU
+    this process may use, up to one per task, or in this process where that
+    is one worker or there is no ``fork``; the reports are merged in task
+    order either way, so they do not depend on scheduling.
     """
     require_protocol(repetitions, train_fraction)
     folds = [split_indices(dataset.labels, train_fraction, seed + i) for i in range(repetitions)]
-    tasks = ([(_iec_fold, dataset, *fold, tree_config, train_config) for fold in folds] +
-             [(_ann_fold, dataset, *fold, train_config) for fold in folds])
+    tasks = ([partial(_iec_fold, dataset, *fold, tree_config, train_config) for fold in folds] +
+             [partial(_ann_fold, dataset, *fold, train_config) for fold in folds])
     workers = min(_cpu_count(), len(tasks))
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return _fold_reports(dataset, folds, map(_call, tasks))
+        return _fold_reports((task() for task in tasks), repetitions)
     # "fork" starts no helper process ("forkserver" and "spawn" start one that can
     # outlive the call).  OpenBLAS joins its threads around a fork, so the fork
     # copies one thread; an OpenMP BLAS need not.  The workers inherit the tasks
-    # through the fork, so only task numbers and predictions cross the pipes.
+    # through the fork, so only task numbers and the tasks' reports cross the pipes.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(tasks,)) as pool:
         # A task that raises makes the map cancel the tasks not yet started.
-        return _fold_reports(dataset, folds, pool.map(_call_index, range(len(tasks))))
+        return _fold_reports(pool.map(_call_index, range(len(tasks))), repetitions)
 
 
-def _fold_reports(dataset: Dataset, folds, outcomes) -> dict:
-    """The per-fold reports from task results given in task order: every
-    fold's ``_iec_fold`` result, then every fold's ``_ann_fold`` result.
-    Each result is scored as it comes, so no fold's predictions are kept."""
+def _fold_reports(outcomes, repetitions: int) -> dict:
+    """The tasks' reports merged in task order, where task t scores fold t % repetitions."""
     results: dict = {"ANN": [], "HDDT": [], "IEC": []}
-    for task, names in enumerate([("HDDT", "IEC")] * len(folds) + [("ANN",)] * len(folds)):
-        fold = task % len(folds)
+    for task in range(2 * repetitions):
         try:
-            preds = next(outcomes)
+            reports = next(outcomes)
         except Exception as exc:
-            raise RuntimeError(f"benchmark fold {fold} failed: {exc}") from exc
-        test_labels = dataset.labels[folds[fold][1]]
-        for name, fold_preds in zip(names, preds):
-            results[name].append(metrics.report(metrics.confusion(fold_preds, test_labels)))
+            raise RuntimeError(f"benchmark fold {task % repetitions} failed: {exc}") from exc
+        for name, report in reports.items():
+            results[name].append(report)
     return results
 
 

@@ -26,6 +26,7 @@ one ``bincount``.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,11 @@ def hellinger_split_score(partition_counts) -> float:
     Requires at least two partitions and at least one example of each class in
     the node overall; individual partitions may be pure or empty of one class.
     """
-    pairs = [(require_int("partition count", p, 0), require_int("partition count", n, 0))
-             for p, n in partition_counts]
+    pairs = []
+    for part in partition_counts:
+        if len(require_list("partition", part)) != 2:
+            raise ValueError(f"partition must be a (pos, neg) pair, got {reprlib.repr(part)}")
+        pairs.append(tuple(require_int("partition count", count, 0) for count in part))
     if len(pairs) < 2:
         raise ValueError("a split needs at least two partitions")
     pos, neg = np.array(pairs, dtype=np.int64).T

@@ -229,6 +229,8 @@ class TestGradients:
         model = zero_model(d=2, k=1)
         with pytest.raises(ValueError):
             mse_gradients(model, np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="^one target per input row required$"):
+            mse_loss(model, np.zeros((3, 2)), [0, 1])
 
 
 class TestTrain:

@@ -653,6 +653,19 @@ class TestConfigFile:
         assert overridden.read_bytes() == plain.read_bytes()
         assert overridden.read_bytes() != from_cfg.read_bytes()
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        data = write_separable_csv(tmp_path / "d.csv")
+        models = []
+        for name, text in (("plain", "epochs = 50\nseed = 9\n"),
+                           ("commented", "# a comment\nepochs = 50\n\nseed = 9\n")):
+            cfg, model = tmp_path / f"{name}.cfg", tmp_path / f"{name}.json"
+            cfg.write_text(text)
+            code, _, err = run(capsys, ["--config", str(cfg), "train", "--data", data,
+                                        "--out", str(model)])
+            assert code == 0, err
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
     def test_json_config(self, tmp_path, capsys):
         data = write_separable_csv(tmp_path / "d.csv")
         cfg = tmp_path / "run.json"

@@ -7,7 +7,7 @@ import pytest
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
                       ScalingParams, category_codes, fields, imbalance_cv, load_csv,
                       min_max_apply_matrix, min_max_fit_matrix,
-                      repeated_eval_protocol, require_labels, require_matrix,
+                      repeated_eval_protocol, require_labels, require_matrix, round_half_away,
                       specs_from_dicts, specs_to_dicts, split_indices,
                       stratified_split, synth_generate)
 from iec.ensemble import network_input
@@ -499,6 +499,11 @@ class TestCategoryCodes:
         assert codes.dtype == np.int64 and codes.tolist() == [2, 0, 0, 1]
 
 
+@pytest.mark.parametrize("x, expected", [(2.5, 3), (-2.5, -3), (0.4, 0), (-0.4, 0), (-1.6, -2)])
+def test_round_half_away_from_zero(x, expected):
+    assert round_half_away(x) == expected
+
+
 class TestSynthGenerate:
     def test_class_sizes(self):
         d = synth_generate(1000, 5, 5, 0.2, seed=7)
@@ -537,6 +542,8 @@ class TestSynthGenerate:
             synth_generate(100, 0, 2, 0.2, seed=0)
         with pytest.raises(ValueError):
             synth_generate(100, 2, -1, 0.2, seed=0)
+        with pytest.raises(ValueError, match="^minority_fraction too small: no positive rows"):
+            synth_generate(10, 1, 0, 0.01, 0)
 
     @pytest.mark.parametrize("field,args", [
         ("n", (100.5, 2, 2)), ("informative", (100, 2.0, 2)), ("noise", (100, 2, True))])
@@ -556,6 +563,10 @@ class TestDatasetInvariants:
     def test_label_values_checked(self):
         with pytest.raises(ValueError, match="labels must be 0 or 1, got 2"):
             continuous_dataset([[1.0]], [2])
+
+    def test_one_label_per_row(self):
+        with pytest.raises(ValueError, match="^labels must be one per row$"):
+            continuous_dataset([[1.0], [2.0], [3.0]], [0, 1])
 
     def test_subset_copies_its_rows_once(self):
         # The indexed rows are the subset's copy; copying them again cost 2.19x.

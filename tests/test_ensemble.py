@@ -315,6 +315,27 @@ class TestRunBenchmark:
             with pytest.raises(RuntimeError, match="^benchmark fold 2 failed: planted failure$"):
                 run_benchmark(d, 3, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10))
 
+    def test_each_task_scores_its_own_test_rows(self):
+        # A task returns its reports by classifier name, each scored on its fold's test rows.
+        d = mixed_dataset(300, seed=4)
+        configs = (hddt.TreeConfig(min_leaf=3), TrainConfig(epochs=40, seed=1))
+        train_idx, test_idx = split_indices(d.labels, 0.7, 3)
+        test_rows, test_labels = d.rows[test_idx], d.labels[test_idx]
+
+        def scored(preds):
+            return metrics.report(metrics.confusion(preds, test_labels))
+
+        model = fit(d.subset(train_idx), *configs)
+        assert ensemble._iec_fold(d, train_idx, test_idx, *configs) == {
+            "HDDT": scored(hddt.predict(model.tree, test_rows)),
+            "IEC": scored(predict(model, test_rows))}
+        features = range(d.p)
+        scaling, net = ensemble._train_network(
+            network_input(d.rows[train_idx], d.specs, features), d.labels[train_idx], configs[1])
+        test_matrix = min_max_apply_matrix(network_input(test_rows, d.specs, features), scaling)
+        assert ensemble._ann_fold(d, train_idx, test_idx, configs[1]) == {
+            "ANN": scored(ann.classify_batch(net, test_matrix))}
+
     def test_iec_tasks_run_first_and_reports_stay_in_fold_order(self, monkeypatch):
         # The longest tasks, a tree and a network each, start first.
         d = synth_generate(200, 3, 2, 0.25, seed=3)
@@ -322,11 +343,10 @@ class TestRunBenchmark:
         folds = [split_indices(d.labels, 0.7, 5 + i) for i in range(3)]
         expected = {"ANN": [], "HDDT": [], "IEC": []}
         for train_idx, test_idx in folds:
-            preds = (*ensemble._ann_fold(d, train_idx, test_idx, configs[1]),
-                     *ensemble._iec_fold(d, train_idx, test_idx, *configs))
-            for name, fold_preds in zip(expected, preds):
-                report = metrics.report(metrics.confusion(fold_preds, d.labels[test_idx]))
-                expected[name].append(report.to_dict())
+            for reports in (ensemble._ann_fold(d, train_idx, test_idx, configs[1]),
+                            ensemble._iec_fold(d, train_idx, test_idx, *configs)):
+                for name, report in reports.items():
+                    expected[name].append(report.to_dict())
         calls = []
 
         def spy(name):
@@ -374,8 +394,8 @@ class TestRunBenchmark:
     @needs_fork
     def test_pool_path_holds_indices_not_folds(self, monkeypatch):
         # With two workers this process keeps each fold's row indices and the
-        # workers' predictions: about 0.4x the rows here.  Building every fold
-        # here and pickling it into the tasks costs about 5.6x.
+        # workers' reports: under 0.6x the rows here.  Building every fold here
+        # and pickling it into the tasks costs about 5.6x.
         monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
         d = synth_generate(2000, 4, 16, 0.2, seed=1)
         tracemalloc.start()

@@ -130,6 +130,10 @@ class TestBestSplitNumeric:
         with pytest.raises(ValueError, match="equal-length"):
             best_split_numeric([1, 2, 3], [0, 1])
 
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="^need at least two rows to split$"):
+            best_split_numeric([1.0], [1])
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             best_split_numeric([1, 2, 3], [1, 1, 1])

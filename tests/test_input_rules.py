@@ -1,6 +1,7 @@
 """One table of the package's shared input rules: every site that takes a count, 0/1
 labels or an input matrix, with an input it must reject and the message of the rule's
-one owner in ``iec.data`` (``require_int``, ``require_labels``, ``require_matrix``)."""
+one owner in ``iec.data`` (``require_int``, ``require_labels``, ``require_matrix``).
+Split partitions, lists of (pos, neg) counts, also go through ``require_list``."""
 
 import re
 
@@ -38,6 +39,15 @@ CASES = [
      "partition count must be an integer >= 0, got 1.5"),
     ("hellinger_split_score-bool", lambda: hellinger_split_score([(1, 2), (2, True)]),
      "partition count must be an integer >= 0, got True"),
+    # Partitions: require_list, then one (pos, neg) pair rule.
+    ("hellinger_split_score-triples", lambda: hellinger_split_score([(1, 2, 3), (4, 5, 6)]),
+     "partition must be a (pos, neg) pair, got (1, 2, 3)"),
+    ("hellinger_split_score-one-triple", lambda: hellinger_split_score([(1, 2), (1, 2, 3)]),
+     "partition must be a (pos, neg) pair, got (1, 2, 3)"),
+    ("hellinger_split_score-singles", lambda: hellinger_split_score([(1,), (2,)]),
+     "partition must be a (pos, neg) pair, got (1,)"),
+    ("hellinger_split_score-scalars", lambda: hellinger_split_score([1, 2]),
+     "partition must be a list, got 1"),
     ("hidden_neuron_count-n-negative", lambda: hidden_neuron_count(-1, 2),
      "n must be an integer >= 3, got -1"),
     ("hidden_neuron_count-n-float", lambda: hidden_neuron_count(100.5, 2),

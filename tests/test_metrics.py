@@ -74,6 +74,13 @@ class TestReport:
         assert "precision" in zero_denominator_metrics(cm)
         assert "f_measure" in zero_denominator_metrics(cm)
 
+    @pytest.mark.parametrize("cm, flagged", [
+        (ConfusionMatrix(tp=0, fp=2, tn=3, fn=0), ("sensitivity", "f_measure")),
+        (ConfusionMatrix(tp=2, fp=0, tn=0, fn=1), ("specificity",)),
+    ], ids=["no-positive-rows", "no-negative-rows"])
+    def test_each_empty_denominator_is_flagged(self, cm, flagged):
+        assert zero_denominator_metrics(cm) == flagged
+
     def test_all_negative_predictor_on_eighty_twenty(self):
         pred = np.zeros(100, dtype=int)
         actual = np.concatenate([np.zeros(80, int), np.ones(20, int)])
