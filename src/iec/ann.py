@@ -252,7 +252,7 @@ def init_model(d_m: int, k: int, seed: int, init_scale: float = 0.5) -> MlpModel
     output bias.
     """
     d_m, k = require_int("input_dim", d_m, 1), require_int("hidden_count", k, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     return MlpModel(
         input_dim=d_m,
         hidden_count=k,

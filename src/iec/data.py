@@ -393,7 +393,7 @@ def split_indices(labels: np.ndarray, train_fraction: float,
     train side (halves round away from zero).  Deterministic given the seed.
     """
     require_protocol(1, train_fraction)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for label in (0, 1):
@@ -443,6 +443,7 @@ def synth_generate(n: int, informative: int, noise: int, minority_fraction: floa
     require_int("informative", informative, 1)
     require_int("noise", noise, 0)
     require_number("separation", separation)
+    require_int("seed", seed, 0)
 
     n_pos = round_half_away(n * minority_fraction)
     if n_pos < 1:

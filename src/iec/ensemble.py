@@ -3,12 +3,12 @@
 Workflow: grow an unpruned HDDT on the full feature set, keep the features it
 found important, build the network input matrix from those features plus the
 tree's own prediction as one extra 0/1 column, min-max scale, size the hidden
-layer from the training count, and train the one-hidden-layer network.  At
-prediction time the same input matrix is built and the fitted scaling applied
-before thresholding the network output.
+layer from the training count, and train the one-hidden-layer network
+(``_fit_network``).  At prediction time ``_classify`` builds the same input
+matrix, applies the fitted scaling and thresholds the network output.
 
-``run_benchmark`` compares the pipeline with its two halves alone: the
-network on every raw feature (ANN) and the tree (HDDT).
+``run_benchmark`` compares the pipeline with its two halves alone: the tree
+(HDDT), and IEC's own network half on every raw feature without the OP column (ANN).
 """
 
 from __future__ import annotations
@@ -98,40 +98,39 @@ def fit(train: Dataset, tree_config: TreeConfig | None = None,
         # is then the leaf's constant label.
         selected = list(range(train.p))
 
-    matrix = network_input(train.rows, tree.specs, selected, hddt.predict(tree, train.rows))
-    scaling, net = _train_network(matrix, train.labels, train_config or TrainConfig())
-    return IecModel(tree, tuple(selected), scaling, net, matrix.shape[1])
-
-
-def _train_network(x: np.ndarray, labels: np.ndarray,
-                   config: TrainConfig) -> tuple[ScalingParams, MlpModel]:
-    """Min-max scale a fresh network input matrix in place, size the hidden
-    layer from its shape and train the network on it."""
-    scaling = min_max_fit_matrix(x)
-    scaled = min_max_apply_matrix(x, scaling, out=x)
-    k = ann.hidden_neuron_count(x.shape[0], x.shape[1])
-    return scaling, ann.train(scaled, labels, k, config)
+    scaling, net = _fit_network(train.rows, train.labels, tree.specs, selected,
+                                hddt.predict(tree, train.rows), train_config or TrainConfig())
+    return IecModel(tree, tuple(selected), scaling, net, net.input_dim)
 
 
 def predict(model: IecModel, rows: np.ndarray) -> np.ndarray:
     """Predicted 0/1 labels for rows conforming to the tree's feature schema."""
-    return _classify(model, rows, hddt.predict(model.tree, rows))
+    return _classify(model.scaling, model.net, rows, model.tree.specs, model.selected_features,
+                     hddt.predict(model.tree, rows))
 
 
-def _classify(model: IecModel, rows: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """The network's labels for ``rows``, given the tree's predictions ``op`` for them."""
-    matrix = network_input(rows, model.tree.specs, model.selected_features, op)
-    return ann.classify_batch(model.net, min_max_apply_matrix(matrix, model.scaling, out=matrix))
+def _fit_network(rows: np.ndarray, labels: np.ndarray, specs, selected, op,
+                 config: TrainConfig) -> tuple[ScalingParams, MlpModel]:
+    """Fit the network half: min-max scale the network input in place, size k, train the net."""
+    x = network_input(rows, specs, selected, op)
+    scaling = min_max_fit_matrix(x)
+    min_max_apply_matrix(x, scaling, out=x)
+    return scaling, ann.train(x, labels, ann.hidden_neuron_count(*x.shape), config)
+
+
+def _classify(scaling, net, rows: np.ndarray, specs, selected, op=None) -> np.ndarray:
+    """Apply the network half: the network input of ``rows``, scaled in place, thresholded."""
+    x = network_input(rows, specs, selected, op)
+    return ann.classify_batch(net, min_max_apply_matrix(x, scaling, out=x))
 
 
 def _ann_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
               train_config: TrainConfig) -> dict:
     """The ANN baseline of one fold, the network on every raw feature: {"ANN": test report}."""
-    features = range(dataset.p)
-    scaling, net = _train_network(network_input(dataset.rows[train_idx], dataset.specs, features),
-                                  dataset.labels[train_idx], train_config)
-    test_matrix = network_input(dataset.rows[test_idx], dataset.specs, features)
-    preds = ann.classify_batch(net, min_max_apply_matrix(test_matrix, scaling, out=test_matrix))
+    specs, features = dataset.specs, range(dataset.p)
+    scaling, net = _fit_network(dataset.rows[train_idx], dataset.labels[train_idx], specs,
+                                features, None, train_config)
+    preds = _classify(scaling, net, dataset.rows[test_idx], specs, features)
     return {"ANN": metrics.report(metrics.confusion(preds, dataset.labels[test_idx]))}
 
 
@@ -147,7 +146,8 @@ def _iec_fold(dataset: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     model = fit(dataset.subset(train_idx), tree_config, train_config)
     test_rows, test_labels = dataset.rows[test_idx], dataset.labels[test_idx]
     tree_preds = hddt.predict(model.tree, test_rows)
-    iec_preds = _classify(model, test_rows, tree_preds)
+    iec_preds = _classify(model.scaling, model.net, test_rows, model.tree.specs,
+                          model.selected_features, tree_preds)
     return {"HDDT": metrics.report(metrics.confusion(tree_preds, test_labels)),
             "IEC": metrics.report(metrics.confusion(iec_preds, test_labels))}
 
@@ -183,6 +183,7 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
     order either way, so they do not depend on scheduling.
     """
     require_protocol(repetitions, train_fraction)
+    require_int("seed", seed, 0)
     folds = [split_indices(dataset.labels, train_fraction, seed + i) for i in range(repetitions)]
     tasks = ([partial(_iec_fold, dataset, *fold, tree_config, train_config) for fold in folds] +
              [partial(_ann_fold, dataset, *fold, train_config) for fold in folds])

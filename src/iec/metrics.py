@@ -70,15 +70,16 @@ def confusion(predicted, actual) -> ConfusionMatrix:
     )
 
 
-def _ratio(num: int, den: int) -> float:
-    return num / den if den > 0 else 0.0
+def _ratios(cm: ConfusionMatrix) -> dict:
+    """Each ratio score's (numerator, denominator)."""
+    return {"precision": (cm.tp, cm.tp + cm.fp), "sensitivity": (cm.tp, cm.tp + cm.fn),
+            "specificity": (cm.tn, cm.fp + cm.tn)}
 
 
 def report(cm: ConfusionMatrix) -> MetricsReport:
     """Derive all scores from a confusion matrix (zero denominators give 0)."""
-    precision = _ratio(cm.tp, cm.tp + cm.fp)
-    sensitivity = _ratio(cm.tp, cm.tp + cm.fn)
-    specificity = _ratio(cm.tn, cm.fp + cm.tn)
+    precision, sensitivity, specificity = (num / den if den > 0 else 0.0
+                                           for num, den in _ratios(cm).values())
     g_mean = math.sqrt(sensitivity * specificity)
     auc = (sensitivity + specificity) / 2.0
     f_den = precision + sensitivity
@@ -90,16 +91,9 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
 
 def zero_denominator_metrics(cm: ConfusionMatrix) -> tuple[str, ...]:
     """Names of metrics forced to 0 by an empty denominator, for flagging."""
-    flagged = []
-    if cm.tp + cm.fp == 0:
-        flagged.append("precision")
-    if cm.tp + cm.fn == 0:
-        flagged.append("sensitivity")
-    if cm.fp + cm.tn == 0:
-        flagged.append("specificity")
-    if _ratio(cm.tp, cm.tp + cm.fp) + _ratio(cm.tp, cm.tp + cm.fn) == 0:
-        flagged.append("f_measure")
-    return tuple(flagged)
+    flagged = [name for name, (_, den) in _ratios(cm).items() if den == 0]
+    # F-measure's denominator, precision + sensitivity, is 0 exactly when tp is.
+    return tuple(flagged + ["f_measure"] * (cm.tp == 0))
 
 
 def mean_report(reports) -> MetricsReport:

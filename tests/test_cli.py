@@ -101,6 +101,19 @@ class TestSynth:
         code, _, _ = run(capsys, ["synth", "--n", "50"])
         assert code == 2
 
+    @pytest.mark.parametrize("config, flags", [
+        ({"seed": None}, []), ({"seed": 2.5}, []), ({"seed": True}, []), ({}, ["--seed", "-1"])],
+        ids=["null", "float", "bool", "negative-flag"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, config, flags):
+        # The seed follows the training seed's rule, from a flag or a config file: a null
+        # seed would write different bytes on each run.
+        cfg, out = tmp_path / "run.json", tmp_path / "x.csv"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(capsys, ["--config", str(cfg), "synth", "--n", "50", *flags,
+                                    "--out", str(out)])
+        assert code == 2
+        assert "seed must be an integer >= 0" in err and not out.exists()
+
 
 class TestTrain:
     @pytest.mark.parametrize("command", ["train", "benchmark"])

@@ -329,9 +329,13 @@ class TestRunBenchmark:
         assert ensemble._iec_fold(d, train_idx, test_idx, *configs) == {
             "HDDT": scored(hddt.predict(model.tree, test_rows)),
             "IEC": scored(predict(model, test_rows))}
+        # The ANN baseline, rebuilt from public functions: IEC's network half on every raw
+        # feature, without the OP column.
         features = range(d.p)
-        scaling, net = ensemble._train_network(
-            network_input(d.rows[train_idx], d.specs, features), d.labels[train_idx], configs[1])
+        train_matrix = network_input(d.rows[train_idx], d.specs, features)
+        scaling = min_max_fit_matrix(train_matrix)
+        net = ann.train(min_max_apply_matrix(train_matrix, scaling), d.labels[train_idx],
+                        ann.hidden_neuron_count(*train_matrix.shape), configs[1])
         test_matrix = min_max_apply_matrix(network_input(test_rows, d.specs, features), scaling)
         assert ensemble._ann_fold(d, train_idx, test_idx, configs[1]) == {
             "ANN": scored(ann.classify_batch(net, test_matrix))}

@@ -1,5 +1,5 @@
-"""One table of the package's shared input rules: every site that takes a count, 0/1
-labels or an input matrix, with an input it must reject and the message of the rule's
+"""One table of the package's shared input rules: every site that takes a count or a seed,
+0/1 labels or an input matrix, with an input it must reject and the message of the rule's
 one owner in ``iec.data`` (``require_int``, ``require_labels``, ``require_matrix``).
 Split partitions, lists of (pos, neg) counts, also go through ``require_list``."""
 
@@ -10,9 +10,10 @@ import pytest
 
 from iec import ann, hddt
 from iec.ann import TrainConfig, forward_batch, hidden_neuron_count, init_model, mse_gradients
-from iec.data import CONTINUOUS, Dataset, FeatureSpec, ScalingParams, min_max_apply_matrix
-from iec.ensemble import network_input
-from iec.hddt import best_split_categorical, best_split_numeric, hellinger_split_score
+from iec.data import (CONTINUOUS, Dataset, FeatureSpec, ScalingParams, min_max_apply_matrix,
+                      split_indices, synth_generate)
+from iec.ensemble import network_input, run_benchmark
+from iec.hddt import TreeConfig, best_split_categorical, best_split_numeric, hellinger_split_score
 from iec.metrics import ConfusionMatrix, confusion
 
 SPECS = (FeatureSpec("a", CONTINUOUS), FeatureSpec("b", CONTINUOUS))
@@ -56,6 +57,16 @@ CASES = [
      "d_m must be an integer >= 1, got 2.5"),
     ("hidden_neuron_count-d_m-bool", lambda: hidden_neuron_count(100, True),
      "d_m must be an integer >= 1, got True"),
+    # Seeds: require_int, the rule TrainConfig.seed already follows.
+    ("synth_generate-seed-float", lambda: synth_generate(20, 1, 0, 0.25, 2.5),
+     "seed must be an integer >= 0, got 2.5"),
+    ("split_indices-seed-bool", lambda: split_indices(np.array([0, 1, 0, 1]), 0.5, True),
+     "seed must be an integer >= 0, got True"),
+    ("init_model-seed-negative", lambda: init_model(2, 1, -1),
+     "seed must be an integer >= 0, got -1"),
+    ("run_benchmark-seed-bool", lambda: run_benchmark(
+        synth_generate(20, 1, 0, 0.25, 0), 1, 0.5, True, TreeConfig(), TrainConfig(epochs=1)),
+     "seed must be an integer >= 0, got True"),
     # 0/1 labels: require_labels.
     ("Dataset-label", lambda: Dataset(SPECS, [[0.0, 1.0], [1.0, 0.0]], [0, 2]),
      "labels must be 0 or 1, got 2"),
