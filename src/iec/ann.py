@@ -112,9 +112,9 @@ class TrainConfig:
 def hidden_neuron_count(n: int, d_m: int) -> int:
     """Recommended hidden-layer width: round(sqrt(n / (d_m * ln n))), at least 1.
 
-    Halves round away from zero.
+    Halves round away from zero; n >= 2 keeps ln n above 0.
     """
-    n, d_m = require_int("n", n, 3), require_int("d_m", d_m, 1)
+    n, d_m = require_int("n", n, 2), require_int("d_m", d_m, 1)
     return max(1, round_half_away(math.sqrt(n / (d_m * math.log(n)))))
 
 
@@ -213,8 +213,8 @@ def forward(model: MlpModel, z) -> float:
 
 
 def classify(model: MlpModel, z) -> int:
-    """Decision rule: 0 when the network output is <= 1/2, else 1."""
-    return 0 if forward(model, z) <= 0.5 else 1
+    """Decision rule: 1 when the network output is > 1/2, else 0 (NaN too, as in classify_batch)."""
+    return int(forward(model, z) > 0.5)
 
 
 def classify_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:

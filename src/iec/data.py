@@ -122,6 +122,19 @@ def category_codes(column, level_count: int, name) -> np.ndarray:
     return column.astype(np.int64)
 
 
+def require_rows(rows, specs) -> np.ndarray:
+    """``rows`` as a float64 matrix, one column per spec, if each value is finite and each
+    categorical value a code of its feature, else a ValueError naming the feature."""
+    rows = require_matrix("rows", rows, len(specs))
+    if not np.isfinite(rows).all():
+        r, j = np.argwhere(~np.isfinite(rows))[0]
+        raise ValueError(f"non-finite value at row {r}, feature {specs[j].name!r}")
+    for j, spec in enumerate(specs):
+        if spec.kind == CATEGORICAL:
+            category_codes(rows[:, j], len(spec.categories), spec.name)
+    return rows
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Schema for a single feature column."""
@@ -164,13 +177,7 @@ class Dataset:
             raise ValueError("labels must be one per row")
         # Checked before the cast, which would truncate 0.5 to 0 and fail on NaN.
         labels = require_labels("labels", labels).astype(np.int64)
-        finite = np.isfinite(rows)
-        if not finite.all():
-            r, j = np.argwhere(~finite)[0]
-            raise ValueError(f"non-finite value at row {r}, feature {self.specs[j].name!r}")
-        for j, spec in enumerate(self.specs):
-            if spec.kind == CATEGORICAL:
-                category_codes(rows[:, j], len(spec.categories), spec.name)
+        require_rows(rows, self.specs)
         rows.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "rows", rows)

@@ -25,7 +25,7 @@ from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes, fields,
                       min_max_apply_matrix, min_max_fit_matrix, require_int, require_list,
-                      require_matrix, require_protocol, split_indices)
+                      require_matrix, require_protocol, require_rows, split_indices)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -104,7 +104,8 @@ def fit(train: Dataset, tree_config: TreeConfig | None = None,
 
 
 def predict(model: IecModel, rows: np.ndarray) -> np.ndarray:
-    """Predicted 0/1 labels for rows conforming to the tree's feature schema."""
+    """Predicted 0/1 labels for rows that a ``Dataset`` of the tree's specs would hold."""
+    rows = require_rows(rows, model.tree.specs)
     return _classify(model.scaling, model.net, rows, model.tree.specs, model.selected_features,
                      hddt.predict(model.tree, rows))
 

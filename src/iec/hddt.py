@@ -267,30 +267,28 @@ def _categorical_split(counts: np.ndarray, feature_index: int) -> SplitCandidate
                           categories=tuple(observed.tolist()))
 
 
+def _rank(score: float, feature_index: int) -> tuple:
+    """Sort key of each choice made from Hellinger scores: higher score first, lower index next."""
+    return -score, feature_index
+
+
 def _best_candidate(train: Dataset, numeric: list[int], order: np.ndarray, y: np.ndarray,
                     keyed: dict, row_idx: np.ndarray, n_pos: int) -> SplitCandidate | None:
-    """Globally best split of the node holding ``row_idx``; lower feature index wins ties.
+    """Globally best split of the node holding ``row_idx``, by ``_rank``.
 
     ``order`` is the node's block of presorted row indices for the ``numeric``
-    columns, and ``keyed[j]`` is categorical column j's ``code * 2 + label``.
+    columns.  ``keyed[j]`` holds categorical column j's ``code * 2 + label``
+    and the number of such keys.  Of the continuous columns only the first
+    maximum can win, so it is the one candidate they put up.
     """
-    scores, bounds = _numeric_splits(train.rows, numeric, order, y, float(n_pos))
-    # Among continuous columns argmax keeps the first maximum, as the loop's
-    # strict > would; only that column can win the loop.
-    top = numeric[int(np.argmax(scores))] if numeric else None
-    best = None
-    for j, spec in enumerate(train.specs):
-        if spec.kind != CONTINUOUS:
-            counts = np.bincount(keyed[j][row_idx], minlength=2 * len(spec.categories))
-            cand = _categorical_split(counts, j)
-        elif j == top:
-            c = numeric.index(j)
-            cand = _numeric_candidate(j, scores[c], bounds[c])
-        else:
-            continue
-        if cand is not None and (best is None or cand.hd_score > best.hd_score):
-            best = cand
-    return best
+    cands = [_categorical_split(np.bincount(codes[row_idx], minlength=size), j)
+             for j, (codes, size) in keyed.items()]
+    if numeric:
+        scores, bounds = _numeric_splits(train.rows, numeric, order, y, float(n_pos))
+        c = int(np.argmax(scores))
+        cands.append(_numeric_candidate(numeric[c], scores[c], bounds[c]))
+    return min((cand for cand in cands if cand is not None), default=None,
+               key=lambda cand: _rank(cand.hd_score, cand.feature_index))
 
 
 def grow_tree(train: Dataset, config: TreeConfig | None = None) -> HddtModel:
@@ -306,7 +304,7 @@ def grow_tree(train: Dataset, config: TreeConfig | None = None) -> HddtModel:
     importances = np.zeros(train.p, dtype=np.float64)
     numeric = [j for j, spec in enumerate(train.specs) if spec.kind == CONTINUOUS]
     y = train.labels.astype(np.float64)
-    keyed = {j: train.rows[:, j].astype(np.intp) * 2 + train.labels
+    keyed = {j: (train.rows[:, j].astype(np.intp) * 2 + train.labels, 2 * len(spec.categories))
              for j, spec in enumerate(train.specs) if spec.kind != CONTINUOUS}
     child_of = np.empty(train.n, dtype=np.int32)
 
@@ -400,9 +398,8 @@ def predict(model: HddtModel, rows: np.ndarray) -> np.ndarray:
 
 def select_features(model: HddtModel) -> list[int]:
     """Feature indices with positive importance, most important first."""
-    ranked = [(float(imp), j) for j, imp in enumerate(model.importances) if imp > 0.0]
-    ranked.sort(key=lambda item: (-item[0], item[1]))
-    return [j for _, j in ranked]
+    imp = model.importances
+    return sorted(np.flatnonzero(imp > 0.0).tolist(), key=lambda j: _rank(imp[j], j))
 
 
 def _preorder(root, children) -> list:

@@ -94,8 +94,8 @@ class TestHiddenNeuronCount:
         assert hidden_neuron_count(10000, 6) > hidden_neuron_count(1000, 6)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="n must be an integer >= 3, got 2"):
-            hidden_neuron_count(2, 4)
+        with pytest.raises(ValueError, match="n must be an integer >= 2, got 1"):
+            hidden_neuron_count(1, 4)
         with pytest.raises(ValueError, match="d_m must be an integer >= 1, got 0"):
             hidden_neuron_count(100, 0)
 
@@ -190,6 +190,12 @@ class TestClassify:
                          math.log(9.0))
         assert forward(model, np.zeros(2)) == pytest.approx(0.9, abs=1e-15)
         assert classify(model, np.zeros(2)) == 1
+
+    def test_nan_output_goes_negative_as_in_the_batch(self):
+        z = [math.nan, 0.0, 0.0]
+        model = init_model(3, 2, 0)
+        assert classify(model, z) == 0
+        assert classify_batch(model, np.array([z])).tolist() == [0]
 
     def test_batch_classification(self):
         model = zero_model()

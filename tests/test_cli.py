@@ -46,6 +46,10 @@ def write_rows(path, header, rows):
     return str(path)
 
 
+def fail_fold(*args):
+    raise ValueError("planted fold failure")
+
+
 def write_eighty_twenty_csv(path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -150,6 +154,14 @@ class TestTrain:
         run(capsys, args + ["--out", str(a)])
         run(capsys, args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_row_per_class_trains(self, tmp_path, capsys):
+        data = write_rows(tmp_path / "d.csv", ["x", "class"], [["0.0", "0"], ["1.0", "1"]])
+        code, out, _ = run(capsys, ["train", "--data", data, "--out", str(tmp_path / "m.json"),
+                                    "--format", "json"])
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["n_train"], summary["d_m"], summary["k"]) == (2, 2, 1)
 
     def test_missing_label_column_is_runtime_error(self, tmp_path, capsys):
         data = write_separable_csv(tmp_path / "d.csv")
@@ -589,10 +601,11 @@ class TestBenchmark:
         from iec.data import Dataset, FeatureSpec
         from iec.hddt import TreeConfig
 
-        # 2+2 rows split 50/50 leaves 2 training rows, too few for the network
         d = Dataset((FeatureSpec("x", "continuous"),),
                     np.array([[1.0], [2.0], [3.0], [4.0]]),
                     np.array([0, 0, 1, 1]))
+        # A forked worker inherits the patched task.
+        monkeypatch.setattr(ensemble, "_iec_fold", fail_fold)
         for cpus in (1, 2):  # in this process, and in a worker
             monkeypatch.setattr(ensemble, "_cpu_count", lambda: cpus)
             with pytest.raises(RuntimeError, match="fold 0"):
@@ -601,6 +614,7 @@ class TestBenchmark:
 
     def test_failed_fold_in_a_worker_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ensemble, "_iec_fold", fail_fold)
         data = write_rows(tmp_path / "d.csv", ["x", "class"],
                           [["1.0", "0"], ["2.0", "0"], ["3.0", "1"], ["4.0", "1"]])
         code, _, err = run(capsys, ["benchmark", "--data", data, "--repetitions", "1",

@@ -10,7 +10,7 @@ from iec import ann, ensemble, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, ScalingParams,
                       min_max_apply_matrix, min_max_fit_matrix, split_indices,
-                      synth_generate)
+                      stratified_split, synth_generate)
 from iec.ensemble import (IecModel, fit, model_from_dict, model_to_dict, network_input,
                           predict, run_benchmark)
 from iec.hddt import Leaf, hellinger_split_score
@@ -198,6 +198,13 @@ class TestFit:
         assert model.selected_features == (0,)
         assert set(predict(model, d.rows)) <= {0, 1}
 
+    def test_one_row_per_class(self):
+        # n = 2 is the least that sizes k: ln n > 0.
+        d = continuous_dataset([[0.0], [1.0]], [0, 1])
+        model = fit(d)
+        assert (model.d_m, model.net.hidden_count) == (2, 1)
+        np.testing.assert_array_equal(predict(model, d.rows), d.labels)
+
     def test_single_class_rejected(self):
         d = continuous_dataset([[1.0], [2.0]], [1, 1])
         with pytest.raises(ValueError, match="both classes"):
@@ -256,6 +263,20 @@ class TestPredict:
         batch = predict(model, d.rows)
         singles = np.array([predict(model, d.rows[i:i + 1])[0] for i in range(d.n)])
         np.testing.assert_array_equal(batch, singles)
+
+
+class TestWhatTheNetworkAdds:
+    """Documents current behaviour, not a goal.  On the acceptance dataset the
+    unpruned tree labels every training row correctly, so the network's OP
+    column equals its target, and IEC's test labels equal the tree's."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_iec_labels_equal_its_trees_on_the_acceptance_splits(self, seed):
+        train, test = stratified_split(synth_generate(2000, 8, 8, 0.2, seed=42), 0.7, seed)
+        model = fit(train)
+        np.testing.assert_array_equal(hddt.predict(model.tree, train.rows), train.labels)
+        np.testing.assert_array_equal(predict(model, test.rows),
+                                      hddt.predict(model.tree, test.rows))
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -10,7 +10,7 @@ import pytest
 import iec
 from iec import hddt
 from iec.data import CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, synth_generate
-from iec.hddt import (NUMERIC, Internal, Leaf, SplitCandidate, TreeConfig,
+from iec.hddt import (NUMERIC, HddtModel, Internal, Leaf, SplitCandidate, TreeConfig,
                       best_split_categorical, best_split_numeric, grow_tree,
                       hellinger_split_score, model_from_dict, model_to_dict, predict,
                       select_features)
@@ -283,6 +283,12 @@ class TestGrowTree:
         d = continuous_dataset([[3.0], [3.0]], [0, 1])
         model = grow_tree(d)
         assert model.root == Leaf(1, 1, 1)
+
+    def test_no_positive_split_leaves_an_impure_leaf(self):
+        # The only split puts one row of each class on each side and scores 0, so
+        # a tree need not label its own training rows correctly.
+        d = continuous_dataset([[1.0], [1.0], [2.0], [2.0]], [0, 1, 0, 1])
+        assert grow_tree(d).root == Leaf(label=1, n_pos=2, n_neg=2)
 
     def test_min_leaf_stops_small_nodes(self):
         d = continuous_dataset([[1.0], [2.0], [7.0]], [1, 0, 0])
@@ -639,6 +645,11 @@ class TestSelectFeatures:
         assert model.importances[0] == pytest.approx(imp0, abs=1e-12)
         assert model.importances[1] == pytest.approx(imp1, abs=1e-12)
         assert select_features(model) == [0, 1]
+
+    def test_equal_importances_keep_the_lower_index_first(self):
+        specs = tuple(FeatureSpec(f"f{j}", CONTINUOUS) for j in range(4))
+        model = HddtModel(Leaf(1, 1, 1), [0.5, 1.0, 0.0, 0.5], specs)
+        assert select_features(model) == [1, 0, 3]
 
 
 class TestSerialization:

@@ -1,14 +1,15 @@
 """One table of the package's shared input rules: every site that takes a count or a seed,
-0/1 labels or an input matrix, with an input it must reject and the message of the rule's
-one owner in ``iec.data`` (``require_int``, ``require_labels``, ``require_matrix``).
-Split partitions, lists of (pos, neg) counts, also go through ``require_list``."""
+0/1 labels, an input matrix or rows of a feature schema, with an input it must reject and
+the message of the rule's one owner in ``iec.data`` (``require_int``, ``require_labels``,
+``require_matrix``, ``require_rows``).  Split partitions, lists of (pos, neg) counts, also
+go through ``require_list``."""
 
 import re
 
 import numpy as np
 import pytest
 
-from iec import ann, hddt
+from iec import ann, ensemble, hddt
 from iec.ann import TrainConfig, forward_batch, hidden_neuron_count, init_model, mse_gradients
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, ScalingParams, min_max_apply_matrix,
                       split_indices, synth_generate)
@@ -17,8 +18,10 @@ from iec.hddt import TreeConfig, best_split_categorical, best_split_numeric, hel
 from iec.metrics import ConfusionMatrix, confusion
 
 SPECS = (FeatureSpec("a", CONTINUOUS), FeatureSpec("b", CONTINUOUS))
-TREE = hddt.grow_tree(Dataset(SPECS, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
-                              [0, 1, 0, 1]))
+# Feature a is the label, so the tree and the IEC model select it alone.
+DATA = Dataset(SPECS, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [0, 1, 0, 1])
+TREE = hddt.grow_tree(DATA)
+MODEL = ensemble.fit(DATA, train_config=TrainConfig(epochs=1))
 NET = init_model(2, 1, 0)
 SCALING = ScalingParams((0.0, 0.0), (1.0, 1.0))
 ROW = np.zeros(2)
@@ -50,9 +53,9 @@ CASES = [
     ("hellinger_split_score-scalars", lambda: hellinger_split_score([1, 2]),
      "partition must be a list, got 1"),
     ("hidden_neuron_count-n-negative", lambda: hidden_neuron_count(-1, 2),
-     "n must be an integer >= 3, got -1"),
+     "n must be an integer >= 2, got -1"),
     ("hidden_neuron_count-n-float", lambda: hidden_neuron_count(100.5, 2),
-     "n must be an integer >= 3, got 100.5"),
+     "n must be an integer >= 2, got 100.5"),
     ("hidden_neuron_count-d_m-float", lambda: hidden_neuron_count(100, 2.5),
      "d_m must be an integer >= 1, got 2.5"),
     ("hidden_neuron_count-d_m-bool", lambda: hidden_neuron_count(100, True),
@@ -93,6 +96,12 @@ CASES = [
      "train_rows must be a 2-d matrix, got shape (2,)"),
     ("min_max_apply_matrix-1d", lambda: min_max_apply_matrix(ROW, SCALING), "x " + NOT_2D),
     ("min_max_apply_matrix-width", lambda: min_max_apply_matrix(WIDE, SCALING), "x " + TOO_WIDE),
+    # Rows of a feature schema: require_rows.  hddt.predict routes NaN and inf, but the
+    # network has no answer for them.
+    ("ensemble.predict-nan", lambda: ensemble.predict(MODEL, [[np.nan, 0.0], [1.0, 0.0]]),
+     "non-finite value at row 0, feature 'a'"),
+    ("ensemble.predict-inf", lambda: ensemble.predict(MODEL, [[0.0, 0.0], [np.inf, 0.0]]),
+     "non-finite value at row 1, feature 'a'"),
 ]
 
 
