@@ -12,11 +12,10 @@ the two textbook forms, so the result carries the same bits as evaluating
 each on its own half of the input; exp never overflows and NaN stays NaN.
 
 The forward and backward passes exist once, in ``_Step``, which writes into
-buffers it allocates once (the gradient buffers at its first backward
-pass).  ``train`` builds one and reuses it every epoch; ``forward_batch``
-and ``mse_gradients`` build a fresh one, and ``mse_loss`` squares the
-residuals of ``forward_batch``.  Each product keeps the evaluation order of
-the expressions
+buffers it allocates once, at construction.  ``train`` builds one and
+reuses it every epoch; ``forward_batch`` and ``mse_gradients`` build a
+fresh one, and ``mse_loss`` squares the residuals of ``forward_batch``.
+Each product keeps the evaluation order of the expressions
 
     hidden = sigmoid(x @ W.T + b),  out = sigmoid(hidden @ c + c0)
     r = out - y,  loss = mean(r ** 2)
@@ -38,11 +37,18 @@ block's shape; each cell still gets the same one operation, so the same
 bits.  For k >= 2, ``einsum("ij->j")`` adds ``delta_h``'s rows one after
 another, the order of ``sum(axis=0)`` on a C-ordered array, in fewer
 passes; for k = 1 the two pair the terms differently, so ``sum`` stays.
+Where it may use another CPU, ``train`` forks a helper that takes half the
+rows of both row passes, and ``grad_b`` beside ``grad_W``; every BLAS call
+and other reduction stays whole here, so each cell gets the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +128,21 @@ def hidden_neuron_count(n: int, d_m: int) -> int:
 BLOCK_ELEMENTS = 1 << 14
 
 
+def _cpu_count() -> int:
+    """CPUs this process may fill with forked processes: one without ``fork`` or in a
+    process that ``multiprocessing`` started (its parent's workers fill the CPUs)."""
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process():
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _alone_on_x86(tasks: str = "/proc/self/task") -> bool:
+    """Whether this process runs one thread (BLAS worker threads would compete with a
+    helper) on x86-64, where each process sees the other's stores in order."""
+    return platform.machine() == "x86_64" and os.path.isdir(tasks) and len(os.listdir(tasks)) == 1
+
+
 class _Step:
     """One forward/backward pass over a fixed n x d input, into buffers
     allocated once.
@@ -129,45 +150,98 @@ class _Step:
     ``forward`` leaves the hidden activations in ``hidden`` and the outputs
     in ``out``; ``backward`` then fills ``grad_w``, ``grad_b`` and ``grad_c``
     for the weights of that forward pass and returns the loss and the
-    output-bias gradient.  The gradient buffers are allocated by the first
-    ``backward``, so forward-only callers never hold them.
+    output-bias gradient.  Each phase (two row passes, then ``grad_W`` beside
+    ``grad_b``) runs through ``_together``, where a ``shared`` step's helper, forked in
+    ``with step:``, takes its ``_share`` from ``flags[0]`` and answers in ``flags[1]``.
     """
 
-    def __init__(self, x: np.ndarray, k: int):
-        n, _ = x.shape
-        self.x = x
-        self.hidden = np.empty((n, k))
+    def __init__(self, x: np.ndarray, k: int, shared: bool = False):
+        n, self.x = len(x), x
+        size = n * k + n + 4 * k
+        memory = mmap.mmap(-1, 8 * size + 16) if shared else None
+        cells = np.frombuffer(memory, np.float64, size) if shared else np.empty(size)
+        self.flags = np.frombuffer(memory, np.int64, 2, 8 * size) if shared else None
+        self.hidden = cells[:n * k].reshape(n, k)
+        self.delta = cells[n * k:n * k + n]
+        self.b, self.c, self.grad_b, self.grad_c = cells[n * k + n:].reshape(4, k)
+        self.grad_w = np.empty((k, x.shape[1]))
         self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
-        self.out = np.empty(n)
-        self.out_scratch = np.empty(n)
-        self.grad_w = None
+        self.out, self.out_scratch = np.empty(n), np.empty(n)
+        self.half, self.pid, self.parent = n // 2 if shared else n, None, os.getpid()
 
-    def _blocks(self, v):
-        """Row blocks of ``hidden``, each with scratch of its shape and the k
-        values ``v`` on each of its rows, where a broadcast operand is slower."""
+    def __enter__(self):
+        if self.flags is not None:
+            self.pid = os.fork() or self._serve()  # the helper never returns
+        return self
+
+    def __exit__(self, *exc):
+        if self.pid is not None:
+            self.flags[0] = -1
+            os.waitpid(self.pid, 0)
+
+    def _serve(self):
+        """The helper: run each posted share until a negative post or until the parent is gone."""
+        done = 0
+        try:
+            while os.getppid() == self.parent and (post := int(self.flags[0])) >= 0:
+                if post != done:
+                    self._share(post % 3)
+                    self.flags[1] = done = post
+                os.sched_yield()
+        finally:
+            os._exit(0)
+
+    def _together(self, phase: int, mine) -> None:
+        """Run ``mine`` here and the share of ``phase`` in the helper, or here after ``mine``."""
+        if self.pid is None:  # then mine() spans every row, and grad_b is all that is left
+            mine()
+            return self._share(phase) if phase == 2 else None
+        post = self.flags[0] = (self.flags[0] // 3 + 1) * 3 + phase
+        mine()
+        while self.flags[1] != post:
+            if os.waitpid(self.pid, os.WNOHANG)[0]:
+                self.pid = None
+                raise RuntimeError("the training helper process exited")
+            os.sched_yield()
+
+    def _share(self, phase: int) -> None:
+        """The second half of the rows of row pass 0 or 1, or ``grad_b`` (phase 2)."""
+        if phase < 2:
+            self._rows(phase, self.half, len(self.hidden))
+        elif self.hidden.shape[1] == 1:
+            np.sum(self.hidden, axis=0, out=self.grad_b)
+        else:
+            np.einsum("ij->j", self.hidden, out=self.grad_b)
+
+    def _rows(self, phase: int, lo: int, hi: int) -> None:
+        """Row pass ``phase`` over hidden rows ``lo`` to ``hi`` in blocks, ``b`` or ``c`` tiled on
+        each row (faster than broadcast): 0 adds ``b`` and the sigmoid, 1 writes ``delta_h``."""
         rows = len(self.scratch)
-        v_rows = np.tile(v, (rows, 1))
-        for lo in range(0, len(self.hidden), rows):
-            block = self.hidden[lo:lo + rows]
-            yield lo, block, self.scratch[:len(block)], v_rows[:len(block)]
+        v_rows = np.tile((self.b, self.c)[phase], (rows, 1))
+        for start in range(lo, hi, rows):
+            block = self.hidden[start:min(start + rows, hi)]
+            scratch, v = self.scratch[:len(block)], v_rows[:len(block)]
+            if phase == 0:
+                block += v
+                _sigmoid(block, block, scratch)
+                continue
+            # A product of two doubles has the same bits either way round.
+            np.multiply(np.repeat(self.delta[start:start + len(block)], block.shape[1])
+                        .reshape(block.shape), v, out=scratch)
+            scratch *= block
+            np.subtract(1.0, block, out=block)
+            block *= scratch
 
     def forward(self, w, b, c, c0: float) -> np.ndarray:
-        self.c = c
+        self.b[:], self.c[:] = b, c
         hidden = np.matmul(self.x, w.T, out=self.hidden)
-        for _, block, scratch, b_rows in self._blocks(b):
-            block += b_rows
-            _sigmoid(block, block, scratch)
-        out = np.matmul(hidden, c, out=self.out)
+        self._together(0, lambda: self._rows(0, 0, self.half))
+        out = np.matmul(hidden, self.c, out=self.out)
         out += c0
         return _sigmoid(out, out, self.out_scratch)
 
     def backward(self, targets: np.ndarray) -> tuple[float, float]:
         out, hidden = self.out, self.hidden
-        if self.grad_w is None:
-            self.delta = np.empty_like(out)
-            self.grad_w = np.empty((hidden.shape[1], self.x.shape[1]))
-            self.grad_b = np.empty(hidden.shape[1])
-            self.grad_c = np.empty(hidden.shape[1])
         residual = np.subtract(out, targets, out=self.delta)
         loss = float(np.multiply(residual, residual, out=self.out_scratch).mean())
         # The loss has used the residual; it is scaled into delta in place.
@@ -176,18 +250,8 @@ class _Step:
         delta *= np.subtract(1.0, out, out=self.out_scratch)
         np.matmul(hidden.T, delta, out=self.grad_c)
         grad_c0 = float(delta.sum())
-        # delta_h over hidden; a product of two doubles has the same bits either way round.
-        for lo, block, scratch, c_rows in self._blocks(self.c):
-            np.multiply(np.repeat(delta[lo:lo + len(block)], block.shape[1]).reshape(block.shape),
-                        c_rows, out=scratch)
-            scratch *= block
-            np.subtract(1.0, block, out=block)
-            block *= scratch
-        np.matmul(hidden.T, self.x, out=self.grad_w)
-        if hidden.shape[1] == 1:
-            np.sum(hidden, axis=0, out=self.grad_b)
-        else:
-            np.einsum("ij->j", hidden, out=self.grad_b)
+        self._together(1, lambda: self._rows(1, 0, self.half))
+        self._together(2, lambda: np.matmul(hidden.T, self.x, out=self.grad_w))
         return loss, grad_c0
 
 
@@ -242,7 +306,7 @@ def mse_gradients(model: MlpModel, x: np.ndarray, targets):
         raise ValueError("one target per input row required")
     step = _run_step(model, x)
     _, grad_c0 = step.backward(targets)
-    return step.grad_w, step.grad_b, step.grad_c, grad_c0
+    return step.grad_w, step.grad_b.copy(), step.grad_c.copy(), grad_c0
 
 
 def init_model(d_m: int, k: int, seed: int, init_scale: float = 0.5) -> MlpModel:
@@ -266,8 +330,8 @@ def init_model(d_m: int, k: int, seed: int, init_scale: float = 0.5) -> MlpModel
 def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpModel:
     """Full-batch gradient descent on MSE for exactly ``config.epochs`` epochs.
 
-    Inputs are expected to be scaled to [0, 1].  Raises FloatingPointError
-    if the loss goes non-finite, reporting the epoch.
+    Inputs are expected to be scaled to [0, 1].  Raises FloatingPointError if the loss
+    goes non-finite, reporting the epoch, and RuntimeError if the helper process dies.
     """
     x = require_matrix("train_rows", train_rows)
     y = np.asarray(targets, dtype=np.float64)
@@ -281,16 +345,16 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
     c0 = start.output_bias
     lr = config.learning_rate
 
-    step = _Step(x, k)
-    for epoch in range(1, config.epochs + 1):
-        step.forward(w, b, c, c0)
-        loss, gc0 = step.backward(y)
-        if not math.isfinite(loss):
-            raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
-        w -= lr * step.grad_w
-        b -= lr * step.grad_b
-        c -= lr * step.grad_c
-        c0 -= lr * gc0
+    with _Step(x, k, len(x) * k > BLOCK_ELEMENTS and _cpu_count() > 1 and _alone_on_x86()) as step:
+        for epoch in range(1, config.epochs + 1):
+            step.forward(w, b, c, c0)
+            loss, gc0 = step.backward(y)
+            if not math.isfinite(loss):
+                raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
+            w -= lr * step.grad_w
+            b -= lr * step.grad_b
+            c -= lr * step.grad_c
+            c0 -= lr * gc0
 
     return MlpModel(x.shape[1], k, w, b, c, c0)
 

@@ -14,7 +14,6 @@ matrix, applies the fitted scaling and thresholds the network output.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -163,12 +162,6 @@ def _call_index(i: int) -> dict:
     return _tasks[i]()
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
                   seed: int, tree_config: TreeConfig, train_config: TrainConfig) -> dict:
     """Per-fold test-set reports for the ANN, HDDT and IEC classifiers.
@@ -179,17 +172,17 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
     return their reports by classifier name.  Every fold's ``_iec_fold`` (a
     tree and a network) comes before every ``_ann_fold`` (a network), so the
     longest tasks start first.  They run in one forked worker process per CPU
-    this process may use, up to one per task, or in this process where that
-    is one worker or there is no ``fork``; the reports are merged in task
-    order either way, so they do not depend on scheduling.
+    this process may use (``ann._cpu_count``), up to one per task, or in this
+    process where that is one; the reports are merged in task order either
+    way, so they do not depend on scheduling.
     """
     require_protocol(repetitions, train_fraction)
     require_int("seed", seed, 0)
     folds = [split_indices(dataset.labels, train_fraction, seed + i) for i in range(repetitions)]
     tasks = ([partial(_iec_fold, dataset, *fold, tree_config, train_config) for fold in folds] +
              [partial(_ann_fold, dataset, *fold, train_config) for fold in folds])
-    workers = min(_cpu_count(), len(tasks))
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    workers = min(ann._cpu_count(), len(tasks))
+    if workers == 1:
         return _fold_reports((task() for task in tasks), repetitions)
     # "fork" starts no helper process ("forkserver" and "spawn" start one that can
     # outlive the call).  OpenBLAS joins its threads around a fork, so the fork

@@ -365,12 +365,10 @@ def _branch(split: SplitCandidate, values: np.ndarray, unlisted: int) -> np.ndar
 
     Numeric: child 0 exactly where ``value <= threshold``, so NaN goes right.
     Categorical: the position of ``int(value)`` in ``split.categories``, or
-    ``unlisted`` where it is not listed.
+    ``unlisted`` where it is not listed; the values must be finite.
     """
     if split.kind == NUMERIC:
         return (~(values <= split.threshold)).astype(np.intp)
-    if not np.isfinite(values).all():
-        raise ValueError(f"non-finite value in categorical feature {split.feature_index}")
     # Code -> child, with a last slot (index -1) for unlisted codes.  Clipping
     # keeps astype from overflowing; it truncates as int() does (-0.9 -> 0).
     table = np.full(max(split.categories) + 2, unlisted, dtype=np.intp)
@@ -391,7 +389,11 @@ def predict(model: HddtModel, rows: np.ndarray) -> np.ndarray:
             # An unseen category follows the child that saw the most training rows.
             sizes = [child.n_pos + child.n_neg for child in node.children]
             largest = sizes.index(max(sizes))
-            branch = _branch(node.split, rows[idx, node.split.feature_index], largest)
+            values = rows[idx, node.split.feature_index]
+            if node.split.kind != NUMERIC and not np.isfinite(values).all():
+                raise ValueError(f"non-finite value at row {idx[~np.isfinite(values)][0]}, feature "
+                                 f"{model.specs[node.split.feature_index].name!r}")
+            branch = _branch(node.split, values, largest)
             stack.extend((child, idx[branch == i]) for i, child in enumerate(node.children))
     return out
 

@@ -1,5 +1,11 @@
 import json
 import math
+import mmap
+import multiprocessing
+import os
+import platform
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -73,6 +79,47 @@ def each_block_budget(monkeypatch, budgets=(7, 700)):
         with monkeypatch.context() as patch:
             patch.setattr(ann, "BLOCK_ELEMENTS", budget)
             yield budget
+
+
+# Where train may fork its helper: fork exists, on x86-64, with /proc to count threads.
+HELPER_CAN_RUN = hasattr(os, "fork") and platform.machine() == "x86_64" and \
+    os.path.isdir("/proc/self/task")
+needs_helper = pytest.mark.skipif(not HELPER_CAN_RUN, reason="no training helper here")
+
+
+def force_helper(patch):
+    """Make the CPU rule give two CPUs, and the process count as one thread on x86-64, so
+    that train forks its helper wherever the hidden layer spans more than one block.
+    Returns the list of the process ids that train forks."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    patch.setattr(ann, "_cpu_count", lambda: 2)
+    patch.setattr(ann, "_alone_on_x86", lambda: True)
+    patch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def each_path(monkeypatch):
+    """Run the loop body on the one-process path (the CPU rule says one CPU) and, where a
+    helper can run, on the helper path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ann, "_cpu_count", lambda: 1)
+        yield "one process"
+    if HELPER_CAN_RUN:
+        with monkeypatch.context() as patch:
+            force_helper(patch)
+            yield "helper"
+
+
+def above_one_block(n=20_000, d=3, seed=4):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, size=(n, d)), (rng.uniform(size=n) < 0.3).astype(float)
 
 
 def assert_same_bits(actual, expected):
@@ -316,17 +363,21 @@ class TestTrain:
         w, b, c, c0 = reference_train(x, y, k, config)
         # Blocks of a row or two cost a loop turn per row and epoch: small n only.
         for _ in each_block_budget(monkeypatch, (7, 700) if n < 1000 else (700,)):
-            model = train(x, y, k, config)
-            assert_same_bits(model.hidden_weights, w)
-            assert_same_bits(model.hidden_biases, b)
-            assert_same_bits(model.output_weights, c)
-            assert_same_bits(model.output_bias, c0)
+            for _ in each_path(monkeypatch):
+                model = train(x, y, k, config)
+                assert_same_bits(model.hidden_weights, w)
+                assert_same_bits(model.hidden_biases, b)
+                assert_same_bits(model.output_weights, c)
+                assert_same_bits(model.output_bias, c0)
 
-    def test_the_step_holds_one_n_by_k_array(self):
+    def test_the_step_holds_one_n_by_k_array(self, monkeypatch):
         # The activations are overwritten by the hidden-layer deltas, and the
         # elementwise passes use block-sized scratch: about 1.7x n*k doubles
         # here for training, 1.5x for a forward pass.  Separate scratch and
-        # delta arrays of n x k cost 3.5x and 2.3x.
+        # delta arrays of n x k cost 3.5x and 2.3x.  tracemalloc does not see
+        # the helper's shared mapping, so this is the one-process path (the
+        # mapping's size is checked in TestHelper).
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 1)
         n, d, k = 20_000, 3, 8
         rng = np.random.default_rng(6)
         x = rng.uniform(0, 1, size=(n, d))
@@ -365,6 +416,158 @@ class TestTrain:
             train(np.zeros((4, 2)), np.zeros(3), 1, TrainConfig())
         with pytest.raises(ValueError, match="hidden"):
             train(np.zeros((4, 2)), np.zeros(4), 0, TrainConfig())
+
+
+def _train_where_fork_is_refused():
+    def refuse():
+        raise AssertionError("a process that multiprocessing started forked a helper")
+
+    os.fork = refuse
+    assert ann._cpu_count() == 1
+    train(*above_one_block(), 2, TrainConfig(epochs=2))
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_helper
+class TestHelper:
+    @pytest.mark.parametrize("n, d, k", [
+        (16385, 3, 1),  # k = 1 (the sum path), odd n, one row above one block of 16,384
+        (4097, 5, 4),  # n x k 16,388, just above one block, with odd n
+        (20000, 5, 3),  # the halves meet at row 10,000, inside a block of 5,461 rows
+    ])
+    def test_the_helper_keeps_the_bits(self, n, d, k, monkeypatch):
+        x, y = above_one_block(n, d, seed=n)
+        config = TrainConfig(epochs=20, learning_rate=2.0, seed=k)
+        with monkeypatch.context() as patch:
+            patch.setattr(ann, "_cpu_count", lambda: 1)
+            alone = train(x, y, k, config)
+        forks = force_helper(monkeypatch)
+        shared = train(x, y, k, config)
+        assert len(forks) == 1
+        for field in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
+            assert_same_bits(getattr(shared, field), getattr(alone, field))
+
+    def test_one_block_trains_alone(self, monkeypatch):
+        forks = force_helper(monkeypatch)
+        train(*above_one_block(n=4096), 4, TrainConfig(epochs=2))  # 4,096 x 4: one block
+        assert forks == []
+
+    def test_the_shared_mapping_holds_n_by_k_plus_n_doubles(self, monkeypatch):
+        sizes, mapping = [], mmap.mmap
+
+        def recorded(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return mapping(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recorded)
+        force_helper(monkeypatch)
+        n, k = 20_000, 8
+        train(*above_one_block(n), k, TrainConfig(epochs=2))
+        assert len(sizes) == 1 and sizes[0] <= 8 * (n * k + n + 5 * k)
+
+    def test_no_child_is_left(self, monkeypatch):
+        forks = force_helper(monkeypatch)
+        x, y = above_one_block()
+        train(x, y, 2, TrainConfig(epochs=3))
+        x[0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="epoch 1"):
+            train(x, y, 2, TrainConfig(epochs=3))
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_process_that_multiprocessing_started_trains_alone(self, monkeypatch):
+        # The child runs the real CPU rule, which gives one CPU there.
+        monkeypatch.setattr(ann, "_alone_on_x86", lambda: True)
+        child = multiprocessing.get_context("fork").Process(target=_train_where_fork_is_refused)
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+
+    def test_a_dead_helper_raises(self, monkeypatch):
+        force_helper(monkeypatch)
+        main, share = os.getpid(), ann._Step._share
+
+        def die_in_the_helper(step, phase):
+            if os.getpid() != main:
+                os._exit(3)
+            share(step, phase)
+
+        def waited_too_long(signum, frame):
+            raise TimeoutError("train still waits for its dead helper")
+
+        monkeypatch.setattr(ann._Step, "_share", die_in_the_helper)
+        previous = signal.signal(signal.SIGALRM, waited_too_long)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="the training helper process exited"):
+                train(*above_one_block(), 2, TrainConfig(epochs=3))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_trainings_on_more_processes_than_cpus_keep_the_bits(self, monkeypatch):
+        # Three trainings at once, each with its helper: six processes share the CPUs,
+        # so every hand-over may wait for a preempted partner.
+        x, y = above_one_block(4097, 5)
+        config = TrainConfig(epochs=30, learning_rate=2.0, seed=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(ann, "_cpu_count", lambda: 1)
+            expected = train(x, y, 4, config)
+        force_helper(monkeypatch)
+        children = []
+        for _ in range(3):
+            pid = os.fork()
+            if pid == 0:  # exits 0 where its weights carry the expected bits
+                try:
+                    got = train(x, y, 4, config)
+                    same = all(np.array_equal(np.float64(getattr(got, f)).view(np.int64),
+                                              np.float64(getattr(expected, f)).view(np.int64))
+                               for f in ("hidden_weights", "hidden_biases", "output_weights",
+                                         "output_bias"))
+                    os._exit(0 if same else 1)
+                finally:
+                    os._exit(2)
+            children.append(pid)
+        deadline, codes = time.monotonic() + 120, {}
+        while len(codes) < len(children) and time.monotonic() < deadline:
+            for pid in set(children) - set(codes):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    codes[pid] = os.waitstatus_to_exitcode(status)
+            time.sleep(0.01)
+        for pid in set(children) - set(codes):  # still waiting: a hand-over hangs
+            os.kill(pid, signal.SIGKILL)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        assert sorted(codes.values()) == [0, 0, 0]
+
+    def test_the_helper_exits_when_its_parent_is_gone(self):
+        read, write = os.pipe()
+        middle = os.fork()
+        if middle == 0:  # forks a helper, then exits without stopping it
+            try:
+                step = ann._Step(np.zeros((4, 1)), 1, shared=True).__enter__()
+                os.write(write, str(step.pid).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        helper = int(os.read(read, 32))
+        os.close(read)
+        os.waitpid(middle, 0)
+        deadline = time.monotonic() + 30
+        while _running(helper) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(helper)
 
 
 class TestModelValidation:

@@ -2,12 +2,13 @@ import ast
 import csv
 import json
 import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iec import cli, ensemble
+from iec import ann, cli, ensemble
 from iec.ann import hidden_neuron_count
 from iec.cli import main
 from iec.data import load_csv
@@ -607,13 +608,13 @@ class TestBenchmark:
         # A forked worker inherits the patched task.
         monkeypatch.setattr(ensemble, "_iec_fold", fail_fold)
         for cpus in (1, 2):  # in this process, and in a worker
-            monkeypatch.setattr(ensemble, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(ann, "_cpu_count", lambda: cpus)
             with pytest.raises(RuntimeError, match="fold 0"):
                 run_benchmark(d, repetitions=1, train_fraction=0.5, seed=0,
                               tree_config=TreeConfig(), train_config=TrainConfig())
 
     def test_failed_fold_in_a_worker_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
         monkeypatch.setattr(ensemble, "_iec_fold", fail_fold)
         data = write_rows(tmp_path / "d.csv", ["x", "class"],
                           [["1.0", "0"], ["2.0", "0"], ["3.0", "1"], ["4.0", "1"]])
@@ -631,7 +632,7 @@ class TestBenchmark:
 
     def test_workers_write_the_serial_bytes(self, tmp_path, capsys, monkeypatch):
         # One CPU runs the folds in this process; two CPUs give two workers.
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 1)
         serial = self.bench_outputs(tmp_path, capsys)
         pools, pool_class = [], ensemble.ProcessPoolExecutor
 
@@ -640,18 +641,20 @@ class TestBenchmark:
             return pool_class(workers, **kwargs)
 
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", counted_pool)
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
         assert self.bench_outputs(tmp_path, capsys) == serial
         assert pools == [2]
 
     def test_no_fork_runs_the_folds_here(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
-        serial = self.bench_outputs(tmp_path, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(ann, "_cpu_count", lambda: 1)
+            serial = self.bench_outputs(tmp_path, capsys)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("no worker may start")
 
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        # Two CPUs but no fork: the CPU rule gives one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert self.bench_outputs(tmp_path, capsys) == serial

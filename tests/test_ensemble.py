@@ -285,7 +285,7 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 
 class TestRunBenchmark:
     def test_one_tree_per_fold(self, monkeypatch):
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)  # count calls in this process
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 1)  # count calls in this process
         calls = []
         grow_tree = hddt.grow_tree
 
@@ -304,7 +304,7 @@ class TestRunBenchmark:
     def test_one_tree_pass_per_fold_over_the_test_rows(self, monkeypatch):
         # Per fold the tree sees the training rows (OP for the network) and the
         # test rows once: its HDDT predictions are also the IEC model's OP column.
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)  # count calls in this process
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 1)  # count calls in this process
         passes = []
         tree_predict = hddt.predict
 
@@ -332,7 +332,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(ensemble, task, fail_on_fold_2)
         for cpus in (1, 2):  # in this process, and in a worker
-            monkeypatch.setattr(ensemble, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(ann, "_cpu_count", lambda: cpus)
             with pytest.raises(RuntimeError, match="^benchmark fold 2 failed: planted failure$"):
                 run_benchmark(d, 3, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10))
 
@@ -384,7 +384,7 @@ class TestRunBenchmark:
 
         for name in ("_iec_fold", "_ann_fold"):
             monkeypatch.setattr(ensemble, name, spy(name))
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)  # see the calls in this process
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 1)  # see the calls in this process
         results = run_benchmark(d, 3, 0.7, 5, *configs)
         assert calls == [("_iec_fold", i) for i in range(3)] + [("_ann_fold", i) for i in range(3)]
         assert {name: [r.to_dict() for r in reports] for name, reports in results.items()} == \
@@ -393,9 +393,9 @@ class TestRunBenchmark:
     def test_workers_give_the_serial_reports(self, monkeypatch):
         d = mixed_dataset(300, seed=4)
         args = (d, 3, 0.7, 2, hddt.TreeConfig(min_leaf=3), TrainConfig(epochs=40, seed=1))
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 1)
         serial = run_benchmark(*args)
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
         pooled = run_benchmark(*args)
         assert {name: [r.to_dict() for r in reports] for name, reports in pooled.items()} == \
             {name: [r.to_dict() for r in reports] for name, reports in serial.items()}
@@ -408,10 +408,10 @@ class TestRunBenchmark:
 
         d = mixed_dataset(300, seed=4)
         args = (d, 2, 0.7, 2, hddt.TreeConfig(min_leaf=3), TrainConfig(epochs=40, seed=1))
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 1)
         serial = run_benchmark(*args)
         monkeypatch.setattr(Dataset, "__reduce_ex__", refuse)
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
         pooled = run_benchmark(*args)
         assert {name: [r.to_dict() for r in reports] for name, reports in pooled.items()} == \
             {name: [r.to_dict() for r in reports] for name, reports in serial.items()}
@@ -421,7 +421,7 @@ class TestRunBenchmark:
         # With two workers this process keeps each fold's row indices and the
         # workers' reports: under 0.6x the rows here.  Building every fold here
         # and pickling it into the tasks costs about 5.6x.
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
         d = synth_generate(2000, 4, 16, 0.2, seed=1)
         tracemalloc.start()
         try:
@@ -437,7 +437,7 @@ class TestRunBenchmark:
         def no_pool(*args, **kwargs):
             raise AssertionError("no worker may start")
 
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
         d = continuous_dataset(np.arange(11.0)[:, None], [0] * 10 + [1])
         with pytest.raises(ValueError, match="class 1 has 1 rows; cannot place it on both sides"):
@@ -446,7 +446,7 @@ class TestRunBenchmark:
     def test_no_worker_outlives_the_call(self, monkeypatch):
         # Forked workers are joined when the call returns: no child is left,
         # running or unreaped, so waitpid finds none.
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
         d = synth_generate(200, 3, 2, 0.25, seed=3)
         run_benchmark(d, 2, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10))
         with pytest.raises(ChildProcessError):
@@ -461,7 +461,7 @@ class TestRunBenchmark:
             pools.append(workers)
             return pool_class(min(workers, 2), **kwargs)
 
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 8)
         monkeypatch.setattr(ensemble, "ProcessPoolExecutor", counted_pool)
         d = synth_generate(200, 3, 2, 0.25, seed=3)
         run_benchmark(d, 1, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=10))

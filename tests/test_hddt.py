@@ -609,6 +609,20 @@ class TestPredict:
         with pytest.raises(ValueError, match="non-finite"):
             predict(model, np.array([[0.0], [value]]))
 
+    def test_non_finite_category_names_the_row_and_feature(self):
+        # x <= 0.5 goes to a leaf; only the rows going right meet the split on 'color',
+        # so only their colors are checked.
+        specs = (FeatureSpec("x", CONTINUOUS), FeatureSpec("color", CATEGORICAL, ("r", "g")))
+        by_color = Internal(SplitCandidate(1, hddt.CATEGORICAL_SPLIT, 1.0, categories=(0, 1)),
+                            (Leaf(0, 0, 1), Leaf(1, 1, 0)), 1, 1)
+        root = Internal(SplitCandidate(0, NUMERIC, 1.0, threshold=0.5),
+                        (Leaf(0, 0, 2), by_color), 1, 3)
+        model = HddtModel(root, np.zeros(2), specs)
+        np.testing.assert_array_equal(predict(model, np.array([[0.0, np.nan], [1.0, 1.0]])),
+                                      [0, 1])
+        with pytest.raises(ValueError, match=r"^non-finite value at row 2, feature 'color'$"):
+            predict(model, np.array([[0.0, np.nan], [1.0, 1.0], [1.0, np.inf], [1.0, np.nan]]))
+
     def test_schema_mismatch(self):
         d = continuous_dataset([[1.0], [2.0]], [1, 0])
         model = grow_tree(d)
