@@ -6,7 +6,16 @@ input column to a one-hidden-layer sigmoid network, which produces the final
 classification.  Submodules: ``data`` (loading, scaling, splitting,
 synthesis), ``hddt`` (the tree), ``ann`` (the network), ``ensemble`` (the
 combined pipeline), ``metrics`` (confusion-matrix scores) and ``cli``.
+
+Importing the package before numpy sets one BLAS thread per process, unless the
+caller set another count: training forks its own helper and the benchmark its
+own workers, and BLAS worker threads beside them only compete for the CPUs.
 """
+
+import os
+
+os.environ.update({threads: os.environ.get(threads, "1")
+                   for threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 
 from iec.ann import MlpModel, TrainConfig, hidden_neuron_count
 from iec.data import (Dataset, FeatureSpec, ScalingParams, imbalance_cv,

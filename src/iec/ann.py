@@ -38,8 +38,9 @@ bits.  For k >= 2, ``einsum("ij->j")`` adds ``delta_h``'s rows one after
 another, the order of ``sum(axis=0)`` on a C-ordered array, in fewer
 passes; for k = 1 the two pair the terms differently, so ``sum`` stays.
 Where it may use another CPU, ``train`` forks a helper that takes half the
-rows of both row passes, and ``grad_b`` beside ``grad_W``; every BLAS call
-and other reduction stays whole here, so each cell gets the same bits.
+rows of both row passes, and ``grad_b`` beside ``grad_W``, while the machine
+has a CPU for it; every BLAS call and other reduction stays whole here, so
+each cell gets the same bits.
 """
 
 from __future__ import annotations
@@ -137,10 +138,23 @@ def _cpu_count() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _alone_on_x86(tasks: str = "/proc/self/task") -> bool:
+def _alone_on_x86() -> bool:
     """Whether this process runs one thread (BLAS worker threads would compete with a
     helper) on x86-64, where each process sees the other's stores in order."""
+    tasks = "/proc/self/task"  # Linux's list of this process's threads
     return platform.machine() == "x86_64" and os.path.isdir(tasks) and len(os.listdir(tasks)) == 1
+
+
+def _spare_cpus() -> int:
+    """This machine's CPUs less the tasks runnable on it at this moment, the caller among
+    them (Linux's /proc/loadavg counts them): below 0 while tasks wait for a CPU."""
+    with open("/proc/loadavg", "rb") as fh:
+        return (os.cpu_count() or 1) - int(fh.read().split()[3].split(b"/")[0])
+
+
+# Epochs in a row that end with tasks waiting for a CPU stop a helper; as many that end
+# with a CPU spare start it again.
+SWITCH_EPOCHS = 16
 
 
 class _Step:
@@ -151,12 +165,13 @@ class _Step:
     in ``out``; ``backward`` then fills ``grad_w``, ``grad_b`` and ``grad_c``
     for the weights of that forward pass and returns the loss and the
     output-bias gradient.  Each phase (two row passes, then ``grad_W`` beside
-    ``grad_b``) runs through ``_together``, where a ``shared`` step's helper, forked in
-    ``with step:``, takes its ``_share`` from ``flags[0]`` and answers in ``flags[1]``.
+    ``grad_b``) runs through ``_together``.  A ``shared`` step forks a helper in
+    ``with step:``, which takes its ``_share`` from ``flags[0]`` and answers in ``flags[1]``;
+    ``_together`` stops and starts it as ``_spare_cpus`` says at the end of each epoch.
     """
 
     def __init__(self, x: np.ndarray, k: int, shared: bool = False):
-        n, self.x = len(x), x
+        n, self.x, self.streak = len(x), x, 0
         size = n * k + n + 4 * k
         memory = mmap.mmap(-1, 8 * size + 16) if shared else None
         cells = np.frombuffer(memory, np.float64, size) if shared else np.empty(size)
@@ -167,17 +182,29 @@ class _Step:
         self.grad_w = np.empty((k, x.shape[1]))
         self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
         self.out, self.out_scratch = np.empty(n), np.empty(n)
-        self.half, self.pid, self.parent = n // 2 if shared else n, None, os.getpid()
+        self.half, self.pid, self.parent = n, None, os.getpid()
 
     def __enter__(self):
         if self.flags is not None:
-            self.pid = os.fork() or self._serve()  # the helper never returns
+            self.flags[:], self.half = 0, len(self.hidden) // 2
+            try:
+                self.pid = os.fork() or self._serve()  # the helper never returns
+            except OSError:  # no process to spare: train alone
+                self.half = len(self.hidden)
         return self
 
     def __exit__(self, *exc):
         if self.pid is not None:
             self.flags[0] = -1
-            os.waitpid(self.pid, 0)
+            self._reaped(0)
+            self.pid, self.half = None, len(self.hidden)
+
+    def _reaped(self, options: int) -> bool:
+        """Wait for the helper; one that the system reaped (SIGCHLD ignored) is gone too."""
+        try:
+            return os.waitpid(self.pid, options)[0] != 0
+        except ChildProcessError:
+            return True
 
     def _serve(self):
         """The helper: run each posted share until a negative post or until the parent is gone."""
@@ -195,14 +222,25 @@ class _Step:
         """Run ``mine`` here and the share of ``phase`` in the helper, or here after ``mine``."""
         if self.pid is None:  # then mine() spans every row, and grad_b is all that is left
             mine()
-            return self._share(phase) if phase == 2 else None
-        post = self.flags[0] = (self.flags[0] // 3 + 1) * 3 + phase
-        mine()
-        while self.flags[1] != post:
-            if os.waitpid(self.pid, os.WNOHANG)[0]:
-                self.pid = None
-                raise RuntimeError("the training helper process exited")
-            os.sched_yield()
+            if phase == 2:
+                self._share(phase)
+        else:
+            post = self.flags[0] = (self.flags[0] // 3 + 1) * 3 + phase
+            mine()
+            while self.flags[1] != post:
+                if self._reaped(os.WNOHANG):
+                    self.pid = None
+                    raise RuntimeError("the training helper process exited")
+                os.sched_yield()
+        if phase == 2 and self.flags is not None:  # an epoch's end, with the helper's share done
+            spare = _spare_cpus()  # the helper, where it runs, is one of the runnable tasks
+            self.streak = self.streak + 1 if (spare < 0 if self.pid else spare > 0) else 0
+            if self.streak == SWITCH_EPOCHS:
+                self.streak = 0
+                if self.pid:
+                    self.__exit__()
+                else:
+                    self.__enter__()
 
     def _share(self, phase: int) -> None:
         """The second half of the rows of row pass 0 or 1, or ``grad_b`` (phase 2)."""

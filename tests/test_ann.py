@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import json
 import math
 import mmap
@@ -5,6 +7,8 @@ import multiprocessing
 import os
 import platform
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -88,9 +92,10 @@ needs_helper = pytest.mark.skipif(not HELPER_CAN_RUN, reason="no training helper
 
 
 def force_helper(patch):
-    """Make the CPU rule give two CPUs, and the process count as one thread on x86-64, so
-    that train forks its helper wherever the hidden layer spans more than one block.
-    Returns the list of the process ids that train forks."""
+    """Make the CPU rule give two CPUs, the process count as one thread on x86-64 and the
+    machine show no spare CPU and no waiting task, so that train forks its helper wherever
+    the hidden layer spans more than one block and keeps it to the end.  Returns the list
+    of the process ids that train forks."""
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -101,6 +106,7 @@ def force_helper(patch):
 
     patch.setattr(ann, "_cpu_count", lambda: 2)
     patch.setattr(ann, "_alone_on_x86", lambda: True)
+    patch.setattr(ann, "_spare_cpus", lambda: 0)
     patch.setattr(os, "fork", counted_fork)
     return forks
 
@@ -127,6 +133,50 @@ def assert_same_bits(actual, expected):
     expected = np.asarray(expected, dtype=np.float64)
     assert actual.shape == expected.shape
     np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def assert_same_weights(actual: MlpModel, expected: MlpModel):
+    for field in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
+        assert_same_bits(getattr(actual, field), getattr(expected, field))
+
+
+def train_alone(monkeypatch, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(ann, "_cpu_count", lambda: 1)
+        return train(*args)
+
+
+@contextlib.contextmanager
+def at_most(seconds: int, what: str):
+    """Raise TimeoutError where the block has not ended after ``seconds`` (a hand-over hangs)."""
+    def expired(signum, frame):
+        raise TimeoutError(f"{what} still waits after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def train_with_a_dying_helper(monkeypatch):
+    """Train where the helper exits at its first share."""
+    force_helper(monkeypatch)
+    main, share = os.getpid(), ann._Step._share
+
+    def die_in_the_helper(step, phase):
+        if os.getpid() != main:
+            os._exit(3)
+        share(step, phase)
+
+    monkeypatch.setattr(ann._Step, "_share", die_in_the_helper)
+    with at_most(60, "train with a dead helper"):
+        with pytest.raises(RuntimeError, match="the training helper process exited"):
+            train(*above_one_block(), 2, TrainConfig(epochs=3))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestHiddenNeuronCount:
@@ -436,6 +486,19 @@ def _running(pid: int) -> bool:
         return False
 
 
+def test_importing_iec_before_numpy_sets_one_blas_thread():
+    code = ("import iec, numpy, os; a = numpy.ones((400, 400)); a @ a; "
+            "print(*(os.environ[v + '_NUM_THREADS'] for v in ('OPENBLAS', 'OMP', 'MKL')), "
+            "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(ann.__file__)),
+                                         env.get("PYTHONPATH", "")])
+    env["OMP_NUM_THREADS"] = "2"  # kept; OpenBLAS and MKL read their own variable first
+    printed = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.split()
+    assert printed == ["1", "2", "1", "1"]  # the last is the process's thread count
+
+
 @needs_helper
 class TestHelper:
     @pytest.mark.parametrize("n, d, k", [
@@ -446,14 +509,79 @@ class TestHelper:
     def test_the_helper_keeps_the_bits(self, n, d, k, monkeypatch):
         x, y = above_one_block(n, d, seed=n)
         config = TrainConfig(epochs=20, learning_rate=2.0, seed=k)
-        with monkeypatch.context() as patch:
-            patch.setattr(ann, "_cpu_count", lambda: 1)
-            alone = train(x, y, k, config)
+        alone = train_alone(monkeypatch, x, y, k, config)
         forks = force_helper(monkeypatch)
         shared = train(x, y, k, config)
         assert len(forks) == 1
-        for field in ("hidden_weights", "hidden_biases", "output_weights", "output_bias"):
-            assert_same_bits(getattr(shared, field), getattr(alone, field))
+        assert_same_weights(shared, alone)
+
+    @pytest.mark.parametrize("spare, forked, stopped", [
+        # Tasks wait for a CPU at the end of epochs 1-16: the helper stops after the 16th.
+        # A CPU is spare at the end of epochs 17-32: it starts again after the 32nd, and
+        # stops after the 48th.
+        ([-1] * 16 + [1] * 16, [0, 32], [16, 48]),
+        # Each 4th epoch ends with no task waiting, so no 16 in a row call for a stop.
+        ([-1, -1, -1, 0], [0], [60]),
+        # After the stop, epochs 17-19 end with a CPU spare and 20-32 with none (and no
+        # task waiting), so the helper does not start again.
+        ([-1] * 16 + [1] * 3 + [0] * 13, [0], [16]),
+    ])
+    def test_the_helper_stops_and_starts_with_the_spare_cpus(self, spare, forked, stopped,
+                                                              monkeypatch):
+        x, y = above_one_block(4097, 5)
+        config = TrainConfig(epochs=60, learning_rate=2.0, seed=3)
+        alone = train_alone(monkeypatch, x, y, 4, config)
+        force_helper(monkeypatch)
+        checks, forks, stops, fork, stop = [], [], [], os.fork, ann._Step.__exit__
+
+        def spare_cpus():  # ``spare`` epoch by epoch, over and over
+            checks.append(spare[len(checks) % len(spare)])
+            return checks[-1]
+
+        def recorded_fork():
+            forks.append(len(checks))
+            return fork()
+
+        def recorded_stop(step, *exc):
+            if step.pid is not None:
+                stops.append(len(checks))
+            stop(step, *exc)
+
+        monkeypatch.setattr(ann, "_spare_cpus", spare_cpus)
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(ann._Step, "__exit__", recorded_stop)
+        with at_most(60, "train with a helper started again"):
+            assert_same_weights(train(x, y, 4, config), alone)
+        assert (forks, stops, len(checks)) == (forked, stopped, config.epochs)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_fork_trains_alone(self, monkeypatch):
+        x, y = above_one_block(4097, 5)
+        config = TrainConfig(epochs=20, learning_rate=2.0, seed=3)
+        alone = train_alone(monkeypatch, x, y, 4, config)
+        force_helper(monkeypatch)
+
+        def no_process_to_spare():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_process_to_spare)
+        assert_same_weights(train(x, y, 4, config), alone)
+
+    def test_an_ignored_sigchld_changes_nothing(self, monkeypatch):
+        # The system then reaps the helper itself, and waitpid finds no child.
+        x, y = above_one_block(4097, 5)
+        config = TrainConfig(epochs=20, learning_rate=2.0, seed=3)
+        alone = train_alone(monkeypatch, x, y, 4, config)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            with monkeypatch.context() as patch:
+                forks = force_helper(patch)
+                assert_same_weights(train(x, y, 4, config), alone)
+                assert len(forks) == 1
+            train_with_a_dying_helper(monkeypatch)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
 
     def test_one_block_trains_alone(self, monkeypatch):
         forks = force_helper(monkeypatch)
@@ -493,37 +621,14 @@ class TestHelper:
         assert child.exitcode == 0
 
     def test_a_dead_helper_raises(self, monkeypatch):
-        force_helper(monkeypatch)
-        main, share = os.getpid(), ann._Step._share
-
-        def die_in_the_helper(step, phase):
-            if os.getpid() != main:
-                os._exit(3)
-            share(step, phase)
-
-        def waited_too_long(signum, frame):
-            raise TimeoutError("train still waits for its dead helper")
-
-        monkeypatch.setattr(ann._Step, "_share", die_in_the_helper)
-        previous = signal.signal(signal.SIGALRM, waited_too_long)
-        signal.alarm(60)
-        try:
-            with pytest.raises(RuntimeError, match="the training helper process exited"):
-                train(*above_one_block(), 2, TrainConfig(epochs=3))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        train_with_a_dying_helper(monkeypatch)
 
     def test_trainings_on_more_processes_than_cpus_keep_the_bits(self, monkeypatch):
         # Three trainings at once, each with its helper: six processes share the CPUs,
         # so every hand-over may wait for a preempted partner.
         x, y = above_one_block(4097, 5)
         config = TrainConfig(epochs=30, learning_rate=2.0, seed=2)
-        with monkeypatch.context() as patch:
-            patch.setattr(ann, "_cpu_count", lambda: 1)
-            expected = train(x, y, 4, config)
+        expected = train_alone(monkeypatch, x, y, 4, config)
         force_helper(monkeypatch)
         children = []
         for _ in range(3):
