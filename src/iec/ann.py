@@ -37,10 +37,15 @@ block's shape; each cell still gets the same one operation, so the same
 bits.  For k >= 2, ``einsum("ij->j")`` adds ``delta_h``'s rows one after
 another, the order of ``sum(axis=0)`` on a C-ordered array, in fewer
 passes; for k = 1 the two pair the terms differently, so ``sum`` stays.
-Where it may use another CPU, ``train`` forks a helper that takes half the
-rows of both row passes, and ``grad_b`` beside ``grad_W``, while the machine
-has a CPU for it; every BLAS call and other reduction stays whole here, so
-each cell gets the same bits.
+Where it may use another CPU, ``train`` forks a helper, while the machine has
+a CPU for it.  The helper takes the rows from ``mid`` on (n // 2 rounded down
+to a multiple of 64) in the forward pass, its two products included, and in
+the ``delta_h`` pass, and it sums ``grad_b`` beside ``grad_W``.  Under one
+BLAS thread, a product over rows split at a multiple of 64 gives the whole
+product's bits; an unaligned split may not.  So the helper runs only under
+one thread and on a C-ordered input, the case ``tests/test_ann.py`` checks.
+The loss, ``grad_c``, ``grad_c0`` and ``grad_W`` stay whole in this process,
+so each cell gets the same bits either way.
 """
 
 from __future__ import annotations
@@ -140,7 +145,8 @@ def _cpu_count() -> int:
 
 def _alone_on_x86() -> bool:
     """Whether this process runs one thread (BLAS worker threads would compete with a
-    helper) on x86-64, where each process sees the other's stores in order."""
+    helper, and split products keep their bits under one BLAS thread) on x86-64, where
+    each process sees the other's stores in order."""
     tasks = "/proc/self/task"  # Linux's list of this process's threads
     return platform.machine() == "x86_64" and os.path.isdir(tasks) and len(os.listdir(tasks)) == 1
 
@@ -164,40 +170,45 @@ class _Step:
     ``forward`` leaves the hidden activations in ``hidden`` and the outputs
     in ``out``; ``backward`` then fills ``grad_w``, ``grad_b`` and ``grad_c``
     for the weights of that forward pass and returns the loss and the
-    output-bias gradient.  Each phase (two row passes, then ``grad_W`` beside
-    ``grad_b``) runs through ``_together``.  A ``shared`` step forks a helper in
-    ``with step:``, which takes its ``_share`` from ``flags[0]`` and answers in ``flags[1]``;
-    ``_together`` stops and starts it as ``_spare_cpus`` says at the end of each epoch.
+    output-bias gradient.  It turns ``out`` into the output deltas in place:
+    ``delta`` is the same array.  Each phase (the forward pass, the
+    ``delta_h`` row pass, then ``grad_W`` beside ``grad_b``) runs through
+    ``_together``.  A ``shared`` step forks a helper in ``with step:``, which
+    takes its ``_share`` (the rows from ``mid`` on) from ``flags[0]`` and
+    answers in ``flags[1]``; ``_together`` stops and starts it as ``_spare_cpus``
+    says at the end of each epoch.
     """
 
     def __init__(self, x: np.ndarray, k: int, shared: bool = False):
-        n, self.x, self.streak = len(x), x, 0
-        size = n * k + n + 4 * k
+        (n, d), self.x, self.streak = x.shape, x, 0
+        size = n * k + n + k * d + 4 * k + 1
         memory = mmap.mmap(-1, 8 * size + 16) if shared else None
         cells = np.frombuffer(memory, np.float64, size) if shared else np.empty(size)
         self.flags = np.frombuffer(memory, np.int64, 2, 8 * size) if shared else None
         self.hidden = cells[:n * k].reshape(n, k)
-        self.delta = cells[n * k:n * k + n]
-        self.b, self.c, self.grad_b, self.grad_c = cells[n * k + n:].reshape(4, k)
-        self.grad_w = np.empty((k, x.shape[1]))
+        self.out = self.delta = cells[n * k:n * k + n]
+        self.w = cells[n * k + n:n * k + n + k * d].reshape(k, d)
+        self.b, self.c, self.grad_b, self.grad_c = cells[n * k + n + k * d:-1].reshape(4, k)
+        self.c0 = cells[-1:]
+        self.grad_w = np.empty((k, d))
         self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
-        self.out, self.out_scratch = np.empty(n), np.empty(n)
-        self.half, self.pid, self.parent = n, None, os.getpid()
+        self.residual, self.out_scratch = np.empty(n), np.empty(n)
+        self.mid, self.pid, self.parent = n, None, os.getpid()
 
     def __enter__(self):
         if self.flags is not None:
-            self.flags[:], self.half = 0, len(self.hidden) // 2
+            self.flags[:], self.mid = 0, len(self.hidden) // 2 // 64 * 64  # see the module docstring
             try:
                 self.pid = os.fork() or self._serve()  # the helper never returns
             except OSError:  # no process to spare: train alone
-                self.half = len(self.hidden)
+                self.mid = len(self.hidden)
         return self
 
     def __exit__(self, *exc):
         if self.pid is not None:
             self.flags[0] = -1
             self._reaped(0)
-            self.pid, self.half = None, len(self.hidden)
+            self.pid, self.mid = None, len(self.hidden)
 
     def _reaped(self, options: int) -> bool:
         """Wait for the helper; one that the system reaped (SIGCHLD ignored) is gone too."""
@@ -243,9 +254,12 @@ class _Step:
                     self.__enter__()
 
     def _share(self, phase: int) -> None:
-        """The second half of the rows of row pass 0 or 1, or ``grad_b`` (phase 2)."""
-        if phase < 2:
-            self._rows(phase, self.half, len(self.hidden))
+        """The rows from ``mid`` on of the forward pass (phase 0) or of the ``delta_h`` pass
+        (phase 1), or ``grad_b`` (phase 2)."""
+        if phase == 0:
+            self._forward_rows(self.mid, len(self.hidden))
+        elif phase == 1:
+            self._rows(1, self.mid, len(self.hidden))
         elif self.hidden.shape[1] == 1:
             np.sum(self.hidden, axis=0, out=self.grad_b)
         else:
@@ -270,26 +284,31 @@ class _Step:
             np.subtract(1.0, block, out=block)
             block *= scratch
 
-    def forward(self, w, b, c, c0: float) -> np.ndarray:
-        self.b[:], self.c[:] = b, c
-        hidden = np.matmul(self.x, w.T, out=self.hidden)
-        self._together(0, lambda: self._rows(0, 0, self.half))
-        out = np.matmul(hidden, self.c, out=self.out)
-        out += c0
-        return _sigmoid(out, out, self.out_scratch)
+    def _forward_rows(self, lo: int, hi: int) -> None:
+        """The forward pass over rows ``lo`` to ``hi``."""
+        hidden = np.matmul(self.x[lo:hi], self.w.T, out=self.hidden[lo:hi])
+        self._rows(0, lo, hi)
+        out = np.matmul(hidden, self.c, out=self.out[lo:hi])
+        out += self.c0
+        _sigmoid(out, out, self.out_scratch[lo:hi])
+
+    def forward(self, w, b, c, c0: float) -> None:
+        self.w[:], self.b[:], self.c[:], self.c0[:] = w, b, c, c0
+        self._together(0, lambda: self._forward_rows(0, self.mid))
 
     def backward(self, targets: np.ndarray) -> tuple[float, float]:
-        out, hidden = self.out, self.hidden
-        residual = np.subtract(out, targets, out=self.delta)
-        loss = float(np.multiply(residual, residual, out=self.out_scratch).mean())
-        # The loss has used the residual; it is scaled into delta in place.
-        delta = np.multiply(residual, 2.0 / len(out), out=self.delta)
-        delta *= out
-        delta *= np.subtract(1.0, out, out=self.out_scratch)
-        np.matmul(hidden.T, delta, out=self.grad_c)
+        # The products take the same operands as ((2/n) * r) * out * (1 - out).
+        out, residual, scratch = self.out, self.residual, self.out_scratch
+        np.subtract(out, targets, out=residual)
+        loss = float(np.multiply(residual, residual, out=scratch).mean())
+        residual *= 2.0 / len(out)
+        np.subtract(1.0, out, out=scratch)
+        delta = np.multiply(residual, out, out=self.delta)
+        delta *= scratch
+        np.matmul(self.hidden.T, delta, out=self.grad_c)
         grad_c0 = float(delta.sum())
-        self._together(1, lambda: self._rows(1, 0, self.half))
-        self._together(2, lambda: np.matmul(hidden.T, self.x, out=self.grad_w))
+        self._together(1, lambda: self._rows(1, 0, self.mid))
+        self._together(2, lambda: np.matmul(self.hidden.T, self.x, out=self.grad_w))
         return loss, grad_c0
 
 
@@ -303,7 +322,8 @@ def _run_step(model: MlpModel, x: np.ndarray) -> _Step:
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network outputs in (0, 1), one per row of ``x``."""
-    return _run_step(model, require_matrix("x", x, model.input_dim)).out
+    # A copy, as the step's outputs share one buffer with its hidden layer.
+    return _run_step(model, require_matrix("x", x, model.input_dim)).out.copy()
 
 
 def forward(model: MlpModel, z) -> float:
@@ -383,7 +403,8 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
     c0 = start.output_bias
     lr = config.learning_rate
 
-    with _Step(x, k, len(x) * k > BLOCK_ELEMENTS and _cpu_count() > 1 and _alone_on_x86()) as step:
+    shared = len(x) * k > BLOCK_ELEMENTS and x.flags.c_contiguous and _cpu_count() > 1
+    with _Step(x, k, shared and _alone_on_x86()) as step:
         for epoch in range(1, config.epochs + 1):
             step.forward(w, b, c, c0)
             loss, gc0 = step.backward(y)

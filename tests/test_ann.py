@@ -276,6 +276,11 @@ class TestForward:
         assert batch[0] == forward(model, z[0])
         assert batch[1] == forward(model, z[1])
 
+    def test_the_outputs_keep_no_hidden_layer_alive(self):
+        # The step's outputs share one buffer with its n x k hidden layer.
+        out = forward_batch(init_model(3, 4, seed=1), np.zeros((50, 3)))
+        assert out.base is None and out.nbytes == 50 * 8
+
 
 class TestClassify:
     def test_exact_half_goes_negative(self):
@@ -499,12 +504,63 @@ def test_importing_iec_before_numpy_sets_one_blas_thread():
     assert printed == ["1", "2", "1", "1"]  # the last is the process's thread count
 
 
+# Run with one BLAS thread: whether 64-aligned row shares of the forward products carry
+# the whole products' bits.  Prints the first shape where they do not, with the BLAS core.
+SPLIT_PREMISE = """
+import ctypes
+import numpy as np
+
+def blas_core():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        libs = []
+    for path in libs:
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            getter = getattr(ctypes.CDLL(path), symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return "unknown"
+
+rng = np.random.default_rng(28)
+shapes = [(20_000, 17, 11), (24_001, 48, 1), (49_999, 64, 1), (20_001, 5, 4)]
+shapes += [tuple(map(int, rng.integers((130, 1, 1), (40_000, 90, 33)))) for _ in range(56)]
+for n, d, k in shapes:
+    x, w = rng.uniform(size=(n, d)), rng.uniform(-0.5, 0.5, size=(k, d))
+    h, c = rng.uniform(size=(n, k)), rng.uniform(-0.5, 0.5, size=k)
+    mid = n // 2 // 64 * 64
+    for name, a, b in (("x @ W.T", x, w.T), ("h @ c", h, c)):
+        whole = np.matmul(a, b)
+        shares = np.empty_like(whole)
+        for lo, hi in ((0, mid), (mid, n)):
+            np.matmul(a[lo:hi], b, out=shares[lo:hi])
+        if not np.array_equal(whole.view(np.int64), shares.view(np.int64)):
+            raise SystemExit(f"{name} split at row {mid} changed bits at n={n}, d={d}, k={k}"
+                             f" under the BLAS core {blas_core()}")
+"""
+
+
+@needs_helper
+def test_forward_products_split_at_64_rows_keep_the_bits():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", SPLIT_PREMISE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr.strip().splitlines()[-1:]
+
+
 @needs_helper
 class TestHelper:
     @pytest.mark.parametrize("n, d, k", [
         (16385, 3, 1),  # k = 1 (the sum path), odd n, one row above one block of 16,384
         (4097, 5, 4),  # n x k 16,388, just above one block, with odd n
-        (20000, 5, 3),  # the halves meet at row 10,000, inside a block of 5,461 rows
+        # The shares meet at row 9,984 (n // 2 rounded down to a multiple of 64), inside a
+        # block of 5,461 rows.
+        (20000, 5, 3),
+        (24001, 48, 1),  # k = 1 and wide rows, where x @ W.T is a matrix-vector product
+        (49999, 64, 1),
+        (100, 3, 200),  # n x k 20,000, just above one block, and the helper takes every row
     ])
     def test_the_helper_keeps_the_bits(self, n, d, k, monkeypatch):
         x, y = above_one_block(n, d, seed=n)
@@ -515,20 +571,22 @@ class TestHelper:
         assert len(forks) == 1
         assert_same_weights(shared, alone)
 
-    @pytest.mark.parametrize("spare, forked, stopped", [
+    @pytest.mark.parametrize("n, spare, forked, stopped", [
         # Tasks wait for a CPU at the end of epochs 1-16: the helper stops after the 16th.
         # A CPU is spare at the end of epochs 17-32: it starts again after the 32nd, and
         # stops after the 48th.
-        ([-1] * 16 + [1] * 16, [0, 32], [16, 48]),
+        (4097, [-1] * 16 + [1] * 16, [0, 32], [16, 48]),
+        # The same where the helper's share starts at row 9,984, not at n // 2.
+        (20001, [-1] * 16 + [1] * 16, [0, 32], [16, 48]),
         # Each 4th epoch ends with no task waiting, so no 16 in a row call for a stop.
-        ([-1, -1, -1, 0], [0], [60]),
+        (4097, [-1, -1, -1, 0], [0], [60]),
         # After the stop, epochs 17-19 end with a CPU spare and 20-32 with none (and no
         # task waiting), so the helper does not start again.
-        ([-1] * 16 + [1] * 3 + [0] * 13, [0], [16]),
+        (4097, [-1] * 16 + [1] * 3 + [0] * 13, [0], [16]),
     ])
-    def test_the_helper_stops_and_starts_with_the_spare_cpus(self, spare, forked, stopped,
+    def test_the_helper_stops_and_starts_with_the_spare_cpus(self, n, spare, forked, stopped,
                                                               monkeypatch):
-        x, y = above_one_block(4097, 5)
+        x, y = above_one_block(n, 5)
         config = TrainConfig(epochs=60, learning_rate=2.0, seed=3)
         alone = train_alone(monkeypatch, x, y, 4, config)
         force_helper(monkeypatch)
@@ -588,6 +646,16 @@ class TestHelper:
         train(*above_one_block(n=4096), 4, TrainConfig(epochs=2))  # 4,096 x 4: one block
         assert forks == []
 
+    def test_an_input_not_in_c_order_trains_alone(self, monkeypatch):
+        # The row shares of x @ W.T are checked for C-ordered rows only.
+        x, y = above_one_block(4097, 5)
+        x = np.asfortranarray(x)
+        config = TrainConfig(epochs=5, learning_rate=2.0, seed=3)
+        alone = train_alone(monkeypatch, x, y, 4, config)
+        forks = force_helper(monkeypatch)
+        assert_same_weights(train(x, y, 4, config), alone)
+        assert forks == []
+
     def test_the_shared_mapping_holds_n_by_k_plus_n_doubles(self, monkeypatch):
         sizes, mapping = [], mmap.mmap
 
@@ -597,9 +665,10 @@ class TestHelper:
 
         monkeypatch.setattr(mmap, "mmap", recorded)
         force_helper(monkeypatch)
-        n, k = 20_000, 8
-        train(*above_one_block(n), k, TrainConfig(epochs=2))
-        assert len(sizes) == 1 and sizes[0] <= 8 * (n * k + n + 5 * k)
+        n, d, k = 20_000, 3, 8
+        train(*above_one_block(n, d), k, TrainConfig(epochs=2))
+        # W (k x d) is shared too, and the outputs use the slot of the output deltas.
+        assert len(sizes) == 1 and sizes[0] <= 8 * (n * k + n + k * d + 5 * k)
 
     def test_no_child_is_left(self, monkeypatch):
         forks = force_helper(monkeypatch)
