@@ -550,6 +550,39 @@ def test_forward_products_split_at_64_rows_keep_the_bits():
     assert done.returncode == 0, done.stderr.strip().splitlines()[-1:]
 
 
+def check_stops_and_starts(monkeypatch, n, spare, forked, stopped):
+    """Train with ``_spare_cpus`` giving ``spare`` epoch by epoch, over and over: the
+    helper forks before the epochs in ``forked`` and stops after those in ``stopped``,
+    and the weights keep the bits of training alone."""
+    x, y = above_one_block(n, 5)
+    config = TrainConfig(epochs=60, learning_rate=2.0, seed=3)
+    alone = train_alone(monkeypatch, x, y, 4, config)
+    force_helper(monkeypatch)
+    checks, forks, stops, fork, stop = [], [], [], os.fork, ann._Step.__exit__
+
+    def spare_cpus():
+        checks.append(spare[len(checks) % len(spare)])
+        return checks[-1]
+
+    def recorded_fork():
+        forks.append(len(checks))
+        return fork()
+
+    def recorded_stop(step, *exc):
+        if step.pid is not None:
+            stops.append(len(checks))
+        stop(step, *exc)
+
+    monkeypatch.setattr(ann, "_spare_cpus", spare_cpus)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(ann._Step, "__exit__", recorded_stop)
+    with at_most(60, "train with a helper started again"):
+        assert_same_weights(train(x, y, 4, config), alone)
+    assert (forks, stops, len(checks)) == (forked, stopped, config.epochs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @needs_helper
 class TestHelper:
     @pytest.mark.parametrize("n, d, k", [
@@ -571,48 +604,24 @@ class TestHelper:
         assert len(forks) == 1
         assert_same_weights(shared, alone)
 
-    @pytest.mark.parametrize("n, spare, forked, stopped", [
+    @pytest.mark.parametrize("spare, forked, stopped", [
         # Tasks wait for a CPU at the end of epochs 1-16: the helper stops after the 16th.
         # A CPU is spare at the end of epochs 17-32: it starts again after the 32nd, and
         # stops after the 48th.
-        (4097, [-1] * 16 + [1] * 16, [0, 32], [16, 48]),
-        # The same where the helper's share starts at row 9,984, not at n // 2.
-        (20001, [-1] * 16 + [1] * 16, [0, 32], [16, 48]),
+        ([-1] * 16 + [1] * 16, [0, 32], [16, 48]),
         # Each 4th epoch ends with no task waiting, so no 16 in a row call for a stop.
-        (4097, [-1, -1, -1, 0], [0], [60]),
+        ([-1, -1, -1, 0], [0], [60]),
         # After the stop, epochs 17-19 end with a CPU spare and 20-32 with none (and no
         # task waiting), so the helper does not start again.
-        (4097, [-1] * 16 + [1] * 3 + [0] * 13, [0], [16]),
+        ([-1] * 16 + [1] * 3 + [0] * 13, [0], [16]),
     ])
-    def test_the_helper_stops_and_starts_with_the_spare_cpus(self, n, spare, forked, stopped,
+    def test_the_helper_stops_and_starts_with_the_spare_cpus(self, spare, forked, stopped,
                                                               monkeypatch):
-        x, y = above_one_block(n, 5)
-        config = TrainConfig(epochs=60, learning_rate=2.0, seed=3)
-        alone = train_alone(monkeypatch, x, y, 4, config)
-        force_helper(monkeypatch)
-        checks, forks, stops, fork, stop = [], [], [], os.fork, ann._Step.__exit__
+        check_stops_and_starts(monkeypatch, 4097, spare, forked, stopped)
 
-        def spare_cpus():  # ``spare`` epoch by epoch, over and over
-            checks.append(spare[len(checks) % len(spare)])
-            return checks[-1]
-
-        def recorded_fork():
-            forks.append(len(checks))
-            return fork()
-
-        def recorded_stop(step, *exc):
-            if step.pid is not None:
-                stops.append(len(checks))
-            stop(step, *exc)
-
-        monkeypatch.setattr(ann, "_spare_cpus", spare_cpus)
-        monkeypatch.setattr(os, "fork", recorded_fork)
-        monkeypatch.setattr(ann._Step, "__exit__", recorded_stop)
-        with at_most(60, "train with a helper started again"):
-            assert_same_weights(train(x, y, 4, config), alone)
-        assert (forks, stops, len(checks)) == (forked, stopped, config.epochs)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def test_the_helper_stops_and_starts_where_its_share_starts_at_row_9984(self, monkeypatch):
+        # n // 2 is 10,000; the helper's share starts at the multiple of 64 below it.
+        check_stops_and_starts(monkeypatch, 20001, [-1] * 16 + [1] * 16, [0, 32], [16, 48])
 
     def test_a_failed_fork_trains_alone(self, monkeypatch):
         x, y = above_one_block(4097, 5)
