@@ -11,10 +11,10 @@ by 1 + e, which is 1/(1+e) where x >= 0 and e/(1+e) elsewhere.  These are
 the two textbook forms, so the result carries the same bits as evaluating
 each on its own half of the input; exp never overflows and NaN stays NaN.
 
-The forward and backward passes exist once, in ``_Step``, which writes into
-buffers it allocates once, at construction.  ``train`` builds one and
-reuses it every epoch; ``forward_batch`` and ``mse_gradients`` build a
-fresh one, and ``mse_loss`` squares the residuals of ``forward_batch``.
+The forward and backward passes exist once, in ``_Step``, which holds the
+weights and writes into buffers it allocates once.  ``train`` builds one and
+updates its weights in place every epoch; ``forward_batch`` and ``mse_gradients``
+build a fresh one, and ``mse_loss`` squares the residuals of ``forward_batch``.
 Each product keeps the evaluation order of the expressions
 
     hidden = sigmoid(x @ W.T + b),  out = sigmoid(hidden @ c + c0)
@@ -43,13 +43,15 @@ to a multiple of 64) in the forward pass, its two products included, and in
 the ``delta_h`` pass, and it sums ``grad_b`` beside ``grad_W``.  Under one
 BLAS thread, a product over rows split at a multiple of 64 gives the whole
 product's bits; an unaligned split may not.  So the helper runs only under
-one thread and on a C-ordered input, the case ``tests/test_ann.py`` checks.
-The loss, ``grad_c``, ``grad_c0`` and ``grad_W`` stay whole in this process,
-so each cell gets the same bits either way.
+one thread and on a C-ordered input, the case ``tests/test_ann.py`` checks;
+while it is stopped or its fork fails, this process runs its rows too, at the
+same split.  The loss, ``grad_c``, ``grad_c0`` and ``grad_W`` stay whole in
+this process, so each cell gets the same bits either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import multiprocessing
@@ -164,51 +166,62 @@ SWITCH_EPOCHS = 16
 
 
 class _Step:
-    """One forward/backward pass over a fixed n x d input, into buffers
-    allocated once.
+    """One forward/backward pass over a fixed n x d input, into buffers allocated once.
 
-    ``forward`` leaves the hidden activations in ``hidden`` and the outputs
-    in ``out``; ``backward`` then fills ``grad_w``, ``grad_b`` and ``grad_c``
-    for the weights of that forward pass and returns the loss and the
-    output-bias gradient.  It turns ``out`` into the output deltas in place:
-    ``delta`` is the same array.  Each phase (the forward pass, the
-    ``delta_h`` row pass, then ``grad_W`` beside ``grad_b``) runs through
-    ``_together``.  A ``shared`` step forks a helper in ``with step:``, which
-    takes its ``_share`` (the rows from ``mid`` on) from ``flags[0]`` and
-    answers in ``flags[1]``; ``_together`` stops and starts it as ``_spare_cpus``
-    says at the end of each epoch.
+    ``w``, ``b``, ``c``, ``c0`` (the model's weights, copied in once), ``hidden`` and ``out``
+    live in one anonymous shared mapping.  ``forward`` fills ``hidden`` and ``out``;
+    ``backward`` fills the gradients, returns the loss and the output-bias gradient and turns
+    ``out`` into the output deltas (``delta``).  Each phase has two parts (``_part``); only
+    ``with step:`` checks whether a helper may run, sets ``mid`` and forks one there.
     """
 
-    def __init__(self, x: np.ndarray, k: int, shared: bool = False):
-        (n, d), self.x, self.streak = x.shape, x, 0
+    def __init__(self, x: np.ndarray, model: MlpModel):
+        (n, d), k, self.x, self.streak = x.shape, model.hidden_count, x, 0
         size = n * k + n + k * d + 4 * k + 1
-        memory = mmap.mmap(-1, 8 * size + 16) if shared else None
-        cells = np.frombuffer(memory, np.float64, size) if shared else np.empty(size)
-        self.flags = np.frombuffer(memory, np.int64, 2, 8 * size) if shared else None
+        memory = mmap.mmap(-1, 8 * size + 16)
+        cells = np.frombuffer(memory, np.float64, size)
+        self.flags = np.frombuffer(memory, np.int64, 2, 8 * size)
         self.hidden = cells[:n * k].reshape(n, k)
         self.out = self.delta = cells[n * k:n * k + n]
         self.w = cells[n * k + n:n * k + n + k * d].reshape(k, d)
         self.b, self.c, self.grad_b, self.grad_c = cells[n * k + n + k * d:-1].reshape(4, k)
         self.c0 = cells[-1:]
+        self.w[:], self.b[:], self.c[:], self.c0[:] = (
+            model.hidden_weights, model.hidden_biases, model.output_weights, model.output_bias)
         self.grad_w = np.empty((k, d))
         self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
         self.residual, self.out_scratch = np.empty(n), np.empty(n)
         self.mid, self.pid, self.parent = n, None, os.getpid()
 
     def __enter__(self):
-        if self.flags is not None:
-            self.flags[:], self.mid = 0, len(self.hidden) // 2 // 64 * 64  # see the module docstring
-            try:
-                self.pid = os.fork() or self._serve()  # the helper never returns
-            except OSError:  # no process to spare: train alone
-                self.mid = len(self.hidden)
+        if self.hidden.size > BLOCK_ELEMENTS and self.x.flags.c_contiguous \
+                and _cpu_count() > 1 and _alone_on_x86():
+            self.mid = len(self.hidden) // 2 // 64 * 64  # see the module docstring
+            self._start()
         return self
 
     def __exit__(self, *exc):
-        if self.pid is not None:
+        if self.pid is not None:  # stop the helper
             self.flags[0] = -1
             self._reaped(0)
-            self.pid, self.mid = None, len(self.hidden)
+            self.pid = None
+
+    def _start(self) -> None:
+        self.flags[:] = 0
+        with contextlib.suppress(OSError):  # no process to spare: this process runs both parts
+            self.pid = os.fork() or self._serve()  # the helper never returns
+
+    def follow_load(self) -> None:
+        """At an epoch's end, where a helper may run, stop or start it (see ``SWITCH_EPOCHS``)."""
+        if self.mid < len(self.hidden):
+            spare = _spare_cpus()  # the helper, where it runs, is one of the runnable tasks
+            self.streak = self.streak + 1 if (spare < 0 if self.pid else spare > 0) else 0
+            if self.streak == SWITCH_EPOCHS:
+                self.streak = 0
+                if self.pid:
+                    self.__exit__()
+                else:
+                    self._start()
 
     def _reaped(self, options: int) -> bool:
         """Wait for the helper; one that the system reaped (SIGCHLD ignored) is gone too."""
@@ -218,48 +231,46 @@ class _Step:
             return True
 
     def _serve(self):
-        """The helper: run each posted share until a negative post or until the parent is gone."""
+        """The helper: run each posted phase's second part until a post < 0 or its parent exits."""
         done = 0
         try:
             while os.getppid() == self.parent and (post := int(self.flags[0])) >= 0:
                 if post != done:
-                    self._share(post % 3)
+                    self._part(done % 3, False)
                     self.flags[1] = done = post
                 os.sched_yield()
         finally:
             os._exit(0)
 
-    def _together(self, phase: int, mine) -> None:
-        """Run ``mine`` here and the share of ``phase`` in the helper, or here after ``mine``."""
-        if self.pid is None:  # then mine() spans every row, and grad_b is all that is left
-            mine()
-            if phase == 2:
-                self._share(phase)
-        else:
-            post = self.flags[0] = (self.flags[0] // 3 + 1) * 3 + phase
-            mine()
-            while self.flags[1] != post:
-                if self._reaped(os.WNOHANG):
-                    self.pid = None
-                    raise RuntimeError("the training helper process exited")
-                os.sched_yield()
-        if phase == 2 and self.flags is not None:  # an epoch's end, with the helper's share done
-            spare = _spare_cpus()  # the helper, where it runs, is one of the runnable tasks
-            self.streak = self.streak + 1 if (spare < 0 if self.pid else spare > 0) else 0
-            if self.streak == SWITCH_EPOCHS:
-                self.streak = 0
-                if self.pid:
-                    self.__exit__()
-                else:
-                    self.__enter__()
+    def _together(self, phase: int) -> None:
+        """Run the first part of ``phase`` here and the second in the helper, or here after."""
+        if self.pid is None:
+            self._part(phase, True)
+            self._part(phase, False)
+            return
+        post = self.flags[0] = self.flags[0] + 1
+        self._part(phase, True)
+        while self.flags[1] != post:
+            if self._reaped(os.WNOHANG):
+                self.pid = None
+                raise RuntimeError("the training helper process exited")
+            os.sched_yield()
 
-    def _share(self, phase: int) -> None:
-        """The rows from ``mid`` on of the forward pass (phase 0) or of the ``delta_h`` pass
-        (phase 1), or ``grad_b`` (phase 2)."""
+    def _part(self, phase: int, first: bool) -> None:
+        """Phase 0 or 1 over rows [0, mid) if ``first`` else [mid, n); phase 2: grad_W or grad_b."""
+        lo, hi = (0, self.mid) if first else (self.mid, len(self.hidden))
+        if lo == hi and phase < 2:  # no rows on this side of mid: skip the per-call set-up
+            return
         if phase == 0:
-            self._forward_rows(self.mid, len(self.hidden))
+            hidden = np.matmul(self.x[lo:hi], self.w.T, out=self.hidden[lo:hi])
+            self._rows(0, lo, hi)
+            out = np.matmul(hidden, self.c, out=self.out[lo:hi])
+            out += self.c0
+            _sigmoid(out, out, self.out_scratch[lo:hi])
         elif phase == 1:
-            self._rows(1, self.mid, len(self.hidden))
+            self._rows(1, lo, hi)
+        elif first:
+            np.matmul(self.hidden.T, self.x, out=self.grad_w)
         elif self.hidden.shape[1] == 1:
             np.sum(self.hidden, axis=0, out=self.grad_b)
         else:
@@ -284,17 +295,9 @@ class _Step:
             np.subtract(1.0, block, out=block)
             block *= scratch
 
-    def _forward_rows(self, lo: int, hi: int) -> None:
-        """The forward pass over rows ``lo`` to ``hi``."""
-        hidden = np.matmul(self.x[lo:hi], self.w.T, out=self.hidden[lo:hi])
-        self._rows(0, lo, hi)
-        out = np.matmul(hidden, self.c, out=self.out[lo:hi])
-        out += self.c0
-        _sigmoid(out, out, self.out_scratch[lo:hi])
-
-    def forward(self, w, b, c, c0: float) -> None:
-        self.w[:], self.b[:], self.c[:], self.c0[:] = w, b, c, c0
-        self._together(0, lambda: self._forward_rows(0, self.mid))
+    def forward(self) -> _Step:
+        self._together(0)
+        return self
 
     def backward(self, targets: np.ndarray) -> tuple[float, float]:
         # The products take the same operands as ((2/n) * r) * out * (1 - out).
@@ -307,23 +310,15 @@ class _Step:
         delta *= scratch
         np.matmul(self.hidden.T, delta, out=self.grad_c)
         grad_c0 = float(delta.sum())
-        self._together(1, lambda: self._rows(1, 0, self.mid))
-        self._together(2, lambda: np.matmul(self.hidden.T, self.x, out=self.grad_w))
+        self._together(1)
+        self._together(2)
         return loss, grad_c0
-
-
-def _run_step(model: MlpModel, x: np.ndarray) -> _Step:
-    """A fresh step with the forward pass of ``model`` over ``x`` done."""
-    step = _Step(x, model.hidden_count)
-    step.forward(model.hidden_weights, model.hidden_biases,
-                 model.output_weights, model.output_bias)
-    return step
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network outputs in (0, 1), one per row of ``x``."""
     # A copy, as the step's outputs share one buffer with its hidden layer.
-    return _run_step(model, require_matrix("x", x, model.input_dim)).out.copy()
+    return _Step(require_matrix("x", x, model.input_dim), model).forward().out.copy()
 
 
 def forward(model: MlpModel, z) -> float:
@@ -343,10 +338,18 @@ def classify_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return (forward_batch(model, x) > 0.5).astype(np.int64)
 
 
+def _rows_to_average(name: str, x, width: int | None = None) -> np.ndarray:
+    """``require_matrix``, and at least one row: the loss and its gradients are row means."""
+    x = require_matrix(name, x, width)
+    if not len(x):
+        raise ValueError(f"{name} must have at least one row, got shape {x.shape}")
+    return x
+
+
 def mse_loss(model: MlpModel, x: np.ndarray, targets) -> float:
     """Mean squared error of the network outputs against 0/1 targets."""
     targets = np.asarray(targets, dtype=np.float64)
-    out = forward_batch(model, x)
+    out = forward_batch(model, _rows_to_average("x", x, model.input_dim))
     if targets.shape != out.shape:
         raise ValueError("one target per input row required")
     return float(np.mean((out - targets) ** 2))
@@ -358,11 +361,11 @@ def mse_gradients(model: MlpModel, x: np.ndarray, targets):
     Returns (grad_hidden_weights, grad_hidden_biases, grad_output_weights,
     grad_output_bias).
     """
-    x = require_matrix("x", x, model.input_dim)
+    x = _rows_to_average("x", x, model.input_dim)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (x.shape[0],):
         raise ValueError("one target per input row required")
-    step = _run_step(model, x)
+    step = _Step(x, model).forward()
     _, grad_c0 = step.backward(targets)
     return step.grad_w, step.grad_b.copy(), step.grad_c.copy(), grad_c0
 
@@ -391,31 +394,27 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
     Inputs are expected to be scaled to [0, 1].  Raises FloatingPointError if the loss
     goes non-finite, reporting the epoch, and RuntimeError if the helper process dies.
     """
-    x = require_matrix("train_rows", train_rows)
+    x = _rows_to_average("train_rows", train_rows)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (x.shape[0],):
         raise ValueError("one target per training row required")
 
     start = init_model(x.shape[1], k, config.seed, config.init_scale)
-    w = start.hidden_weights.copy()
-    b = start.hidden_biases.copy()
-    c = start.output_weights.copy()
-    c0 = start.output_bias
     lr = config.learning_rate
 
-    shared = len(x) * k > BLOCK_ELEMENTS and x.flags.c_contiguous and _cpu_count() > 1
-    with _Step(x, k, shared and _alone_on_x86()) as step:
+    with _Step(x, start) as step:
         for epoch in range(1, config.epochs + 1):
-            step.forward(w, b, c, c0)
+            step.forward()
             loss, gc0 = step.backward(y)
             if not math.isfinite(loss):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
-            w -= lr * step.grad_w
-            b -= lr * step.grad_b
-            c -= lr * step.grad_c
-            c0 -= lr * gc0
+            step.w -= lr * step.grad_w
+            step.b -= lr * step.grad_b
+            step.c -= lr * step.grad_c
+            step.c0 -= lr * gc0
+            step.follow_load()
 
-    return MlpModel(x.shape[1], k, w, b, c, c0)
+    return MlpModel(x.shape[1], k, step.w, step.b, step.c, float(step.c0[0]))
 
 
 def model_to_dict(model: MlpModel) -> dict:

@@ -2,7 +2,6 @@ import contextlib
 import errno
 import json
 import math
-import mmap
 import multiprocessing
 import os
 import platform
@@ -162,16 +161,16 @@ def at_most(seconds: int, what: str):
 
 
 def train_with_a_dying_helper(monkeypatch):
-    """Train where the helper exits at its first share."""
+    """Train where the helper exits at its first part."""
     force_helper(monkeypatch)
-    main, share = os.getpid(), ann._Step._share
+    main, part = os.getpid(), ann._Step._part
 
-    def die_in_the_helper(step, phase):
+    def die_in_the_helper(step, phase, first):
         if os.getpid() != main:
             os._exit(3)
-        share(step, phase)
+        part(step, phase, first)
 
-    monkeypatch.setattr(ann._Step, "_share", die_in_the_helper)
+    monkeypatch.setattr(ann._Step, "_part", die_in_the_helper)
     with at_most(60, "train with a dead helper"):
         with pytest.raises(RuntimeError, match="the training helper process exited"):
             train(*above_one_block(), 2, TrainConfig(epochs=3))
@@ -425,13 +424,14 @@ class TestTrain:
                 assert_same_bits(model.output_weights, c)
                 assert_same_bits(model.output_bias, c0)
 
-    def test_the_step_holds_one_n_by_k_array(self, monkeypatch):
+    def test_the_step_holds_one_n_by_k_array(self, monkeypatch, mapped):
         # The activations are overwritten by the hidden-layer deltas, and the
         # elementwise passes use block-sized scratch: about 1.7x n*k doubles
         # here for training, 1.5x for a forward pass.  Separate scratch and
-        # delta arrays of n x k cost 3.5x and 2.3x.  tracemalloc does not see
-        # the helper's shared mapping, so this is the one-process path (the
-        # mapping's size is checked in TestHelper).
+        # delta arrays of n x k cost 3.5x and 2.3x.  The hidden layer lives in
+        # the step's mapping, which tracemalloc does not see, so the mapping's
+        # size is added.  This is the one-process path: a helper's own
+        # allocations are in another process.
         monkeypatch.setattr(ann, "_cpu_count", lambda: 1)
         n, d, k = 20_000, 3, 8
         rng = np.random.default_rng(6)
@@ -440,13 +440,15 @@ class TestTrain:
         model = init_model(d, k, seed=1)
         for run in (lambda: train(x, y, k, TrainConfig(epochs=2)),
                     lambda: forward_batch(model, x)):
+            mapped.clear()
             tracemalloc.start()
             try:
                 run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2 * n * k * 8
+            assert len(mapped) == 1 and mapped[0] >= n * k * 8
+            assert mapped[0] + peak <= 2 * n * k * 8
 
     def test_non_finite_loss_reports_epoch(self):
         x = np.array([[np.nan, 1.0], [0.0, 1.0]])
@@ -650,6 +652,17 @@ class TestHelper:
         finally:
             signal.signal(signal.SIGCHLD, previous)
 
+    def test_only_training_forks(self, monkeypatch):
+        # A forward pass or one gradient builds its step outside ``with``, so it runs alone.
+        forks = force_helper(monkeypatch)
+        x, y = above_one_block(4097, 5)
+        model = init_model(5, 4, seed=0)
+        forward_batch(model, x)
+        mse_gradients(model, x, y)
+        assert forks == []
+        train(x, y, 4, TrainConfig(epochs=2))
+        assert len(forks) == 1
+
     def test_one_block_trains_alone(self, monkeypatch):
         forks = force_helper(monkeypatch)
         train(*above_one_block(n=4096), 4, TrainConfig(epochs=2))  # 4,096 x 4: one block
@@ -665,19 +678,12 @@ class TestHelper:
         assert_same_weights(train(x, y, 4, config), alone)
         assert forks == []
 
-    def test_the_shared_mapping_holds_n_by_k_plus_n_doubles(self, monkeypatch):
-        sizes, mapping = [], mmap.mmap
-
-        def recorded(fileno, length, *args, **kwargs):
-            sizes.append(length)
-            return mapping(fileno, length, *args, **kwargs)
-
-        monkeypatch.setattr(mmap, "mmap", recorded)
+    def test_the_shared_mapping_holds_n_by_k_plus_n_doubles(self, monkeypatch, mapped):
         force_helper(monkeypatch)
         n, d, k = 20_000, 3, 8
         train(*above_one_block(n, d), k, TrainConfig(epochs=2))
         # W (k x d) is shared too, and the outputs use the slot of the output deltas.
-        assert len(sizes) == 1 and sizes[0] <= 8 * (n * k + n + k * d + 5 * k)
+        assert len(mapped) == 1 and mapped[0] <= 8 * (n * k + n + k * d + 5 * k)
 
     def test_no_child_is_left(self, monkeypatch):
         forks = force_helper(monkeypatch)
@@ -734,19 +740,21 @@ class TestHelper:
             codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         assert sorted(codes.values()) == [0, 0, 0]
 
-    def test_the_helper_exits_when_its_parent_is_gone(self):
+    def test_the_helper_exits_when_its_parent_is_gone(self, monkeypatch):
+        force_helper(monkeypatch)
+        x, _ = above_one_block(4097, 5)
         read, write = os.pipe()
         middle = os.fork()
         if middle == 0:  # forks a helper, then exits without stopping it
             try:
-                step = ann._Step(np.zeros((4, 1)), 1, shared=True).__enter__()
+                step = ann._Step(x, init_model(5, 4, seed=0)).__enter__()
                 os.write(write, str(step.pid).encode())
             finally:
                 os._exit(0)
         os.close(write)
+        os.waitpid(middle, 0)  # reaped first, so that no failure here leaves it unreaped
         helper = int(os.read(read, 32))
         os.close(read)
-        os.waitpid(middle, 0)
         deadline = time.monotonic() + 30
         while _running(helper) and time.monotonic() < deadline:
             time.sleep(0.01)

@@ -2,7 +2,9 @@
 0/1 labels, an input matrix or rows of a feature schema, with an input it must reject and
 the message of the rule's one owner in ``iec.data`` (``require_int``, ``require_labels``,
 ``require_matrix``, ``require_rows``).  Split partitions, lists of (pos, neg) counts, also
-go through ``require_list``."""
+go through ``require_list``, and the network's loss and gradients take a matrix of at least
+one row (``ann._rows_to_average``).  ``forward_batch`` and ``ensemble.predict`` take no rows
+and return no outputs."""
 
 import re
 
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 from iec import ann, ensemble, hddt
-from iec.ann import TrainConfig, forward_batch, hidden_neuron_count, init_model, mse_gradients
+from iec.ann import (TrainConfig, forward_batch, hidden_neuron_count, init_model, mse_gradients,
+                     mse_loss)
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, ScalingParams, min_max_apply_matrix,
                       split_indices, synth_generate)
 from iec.ensemble import network_input, run_benchmark
@@ -94,6 +97,13 @@ CASES = [
     ("mse_gradients-width", lambda: mse_gradients(NET, WIDE, [0.0, 1.0]), "x " + TOO_WIDE),
     ("train-1d", lambda: ann.train(ROW, [0.0, 1.0], 1, TrainConfig(epochs=1)),
      "train_rows must be a 2-d matrix, got shape (2,)"),
+    # The loss and its gradients are means over rows, so these take at least one.
+    ("train-no-rows", lambda: ann.train(np.zeros((0, 2)), [], 1, TrainConfig(epochs=1)),
+     "train_rows must have at least one row, got shape (0, 2)"),
+    ("mse_gradients-no-rows", lambda: mse_gradients(NET, np.zeros((0, 2)), []),
+     "x must have at least one row, got shape (0, 2)"),
+    ("mse_loss-no-rows", lambda: mse_loss(NET, np.zeros((0, 2)), []),
+     "x must have at least one row, got shape (0, 2)"),
     ("min_max_apply_matrix-1d", lambda: min_max_apply_matrix(ROW, SCALING), "x " + NOT_2D),
     ("min_max_apply_matrix-width", lambda: min_max_apply_matrix(WIDE, SCALING), "x " + TOO_WIDE),
     # Rows of a feature schema: require_rows.  hddt.predict routes NaN and inf, but the
@@ -103,6 +113,11 @@ CASES = [
     ("ensemble.predict-inf", lambda: ensemble.predict(MODEL, [[0.0, 0.0], [np.inf, 0.0]]),
      "non-finite value at row 1, feature 'a'"),
 ]
+
+
+def test_no_rows_give_no_outputs():
+    assert forward_batch(NET, np.zeros((0, 2))).shape == (0,)
+    assert ensemble.predict(MODEL, np.zeros((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("call, message", [pytest.param(call, message, id=site)
