@@ -43,10 +43,11 @@ to a multiple of 64) in the forward pass, its two products included, and in
 the ``delta_h`` pass, and it sums ``grad_b`` beside ``grad_W``.  Under one
 BLAS thread, a product over rows split at a multiple of 64 gives the whole
 product's bits; an unaligned split may not.  So the helper runs only under
-one thread and on a C-ordered input, the case ``tests/test_ann.py`` checks;
-while it is stopped or its fork fails, this process runs its rows too, at the
-same split.  The loss, ``grad_c``, ``grad_c0`` and ``grad_W`` stay whole in
-this process, so each cell gets the same bits either way.
+one thread, the case ``tests/test_ann.py`` checks; while it is stopped or its
+fork fails, this process runs its rows too, at the same split.  The loss,
+``grad_c``, ``grad_c0`` and ``grad_W`` stay whole in this process, so each
+cell gets the same bits either way.  Only a step whose helper may run maps its
+state shared.  Every step works on C-ordered rows: the bits follow the values.
 """
 
 from __future__ import annotations
@@ -169,16 +170,27 @@ class _Step:
     """One forward/backward pass over a fixed n x d input, into buffers allocated once.
 
     ``w``, ``b``, ``c``, ``c0`` (the model's weights, copied in once), ``hidden`` and ``out``
-    live in one anonymous shared mapping.  ``forward`` fills ``hidden`` and ``out``;
-    ``backward`` fills the gradients, returns the loss and the output-bias gradient and turns
-    ``out`` into the output deltas (``delta``).  Each phase has two parts (``_part``); only
-    ``with step:`` checks whether a helper may run, sets ``mid`` and forks one there.
+    share one block of heap memory.  ``forward`` fills ``hidden`` and ``out``; ``backward``
+    fills the gradients, returns the loss and the output-bias gradient and turns ``out`` into
+    the output deltas (``delta``).  Each phase has two parts (``_part``); only ``with step:``
+    checks whether a helper may run, and there maps the block shared, sets ``mid`` and forks.
     """
 
     def __init__(self, x: np.ndarray, model: MlpModel):
-        (n, d), k, self.x, self.streak = x.shape, model.hidden_count, x, 0
+        self.x, self.streak = np.ascontiguousarray(x), 0  # the bits then follow the values alone
+        (n, d), k = self.x.shape, model.hidden_count
+        self._lay_out(False, model.hidden_weights, model.hidden_biases, model.output_weights,
+                      model.output_bias)
+        self.grad_w = np.empty((k, d))
+        self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
+        self.residual, self.out_scratch = np.empty(n), np.empty(n)
+        self.mid, self.pid, self.parent = n, None, os.getpid()
+
+    def _lay_out(self, shared: bool, *weights) -> None:
+        """Copy ``weights`` (w, b, c, c0) into a new block, anonymous shared or heap memory."""
+        n, (k, d) = len(self.x), weights[0].shape
         size = n * k + n + k * d + 4 * k + 1
-        memory = mmap.mmap(-1, 8 * size + 16)
+        memory = mmap.mmap(-1, 8 * size + 16) if shared else np.empty(size + 2)
         cells = np.frombuffer(memory, np.float64, size)
         self.flags = np.frombuffer(memory, np.int64, 2, 8 * size)
         self.hidden = cells[:n * k].reshape(n, k)
@@ -186,16 +198,11 @@ class _Step:
         self.w = cells[n * k + n:n * k + n + k * d].reshape(k, d)
         self.b, self.c, self.grad_b, self.grad_c = cells[n * k + n + k * d:-1].reshape(4, k)
         self.c0 = cells[-1:]
-        self.w[:], self.b[:], self.c[:], self.c0[:] = (
-            model.hidden_weights, model.hidden_biases, model.output_weights, model.output_bias)
-        self.grad_w = np.empty((k, d))
-        self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
-        self.residual, self.out_scratch = np.empty(n), np.empty(n)
-        self.mid, self.pid, self.parent = n, None, os.getpid()
+        self.w[:], self.b[:], self.c[:], self.c0[:] = weights
 
     def __enter__(self):
-        if self.hidden.size > BLOCK_ELEMENTS and self.x.flags.c_contiguous \
-                and _cpu_count() > 1 and _alone_on_x86():
+        if self.hidden.size > BLOCK_ELEMENTS and _cpu_count() > 1 and _alone_on_x86():
+            self._lay_out(True, self.w, self.b, self.c, self.c0)  # from the block it replaces
             self.mid = len(self.hidden) // 2 // 64 * 64  # see the module docstring
             self._start()
         return self

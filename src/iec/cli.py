@@ -254,6 +254,7 @@ def main(argv=None) -> int:
                     raise ValueError(f"{known.config}: {action.dest} must be one of "
                                      f"{list(action.choices)}, got {value!r}")
                 action.default = value
+                action.required = action.required and value is None  # null leaves it unset
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -10,8 +10,8 @@ import pytest
 
 @pytest.fixture
 def mapped(monkeypatch):
-    """The length of each anonymous mapping made during the test, in order.  A network
-    step keeps its hidden layer in one, which tracemalloc does not see."""
+    """The length of each anonymous mapping made during the test, in order.  A training
+    step with a helper keeps its hidden layer in one, which tracemalloc does not see."""
     sizes, mapping = [], mmap.mmap
 
     def recorded(fileno, length, *args, **kwargs):

@@ -428,10 +428,8 @@ class TestTrain:
         # The activations are overwritten by the hidden-layer deltas, and the
         # elementwise passes use block-sized scratch: about 1.7x n*k doubles
         # here for training, 1.5x for a forward pass.  Separate scratch and
-        # delta arrays of n x k cost 3.5x and 2.3x.  The hidden layer lives in
-        # the step's mapping, which tracemalloc does not see, so the mapping's
-        # size is added.  This is the one-process path: a helper's own
-        # allocations are in another process.
+        # delta arrays of n x k cost 3.5x and 2.3x.  This is the one-process
+        # path, which maps no memory, so tracemalloc sees all of it.
         monkeypatch.setattr(ann, "_cpu_count", lambda: 1)
         n, d, k = 20_000, 3, 8
         rng = np.random.default_rng(6)
@@ -447,8 +445,8 @@ class TestTrain:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(mapped) == 1 and mapped[0] >= n * k * 8
-            assert mapped[0] + peak <= 2 * n * k * 8
+            assert mapped == []
+            assert n * k * 8 <= peak <= 2 * n * k * 8
 
     def test_non_finite_loss_reports_epoch(self):
         x = np.array([[np.nan, 1.0], [0.0, 1.0]])
@@ -652,31 +650,38 @@ class TestHelper:
         finally:
             signal.signal(signal.SIGCHLD, previous)
 
-    def test_only_training_forks(self, monkeypatch):
-        # A forward pass or one gradient builds its step outside ``with``, so it runs alone.
+    def test_only_training_forks(self, monkeypatch, mapped):
+        # A forward pass or one gradient builds its step outside ``with``, so it runs alone
+        # and maps no memory.
         forks = force_helper(monkeypatch)
         x, y = above_one_block(4097, 5)
         model = init_model(5, 4, seed=0)
         forward_batch(model, x)
         mse_gradients(model, x, y)
-        assert forks == []
+        mse_loss(model, x, y)
+        forward(model, x[0])
+        assert forks == [] and mapped == []
         train(x, y, 4, TrainConfig(epochs=2))
-        assert len(forks) == 1
+        assert len(forks) == 1 and len(mapped) == 1
 
     def test_one_block_trains_alone(self, monkeypatch):
         forks = force_helper(monkeypatch)
         train(*above_one_block(n=4096), 4, TrainConfig(epochs=2))  # 4,096 x 4: one block
         assert forks == []
 
-    def test_an_input_not_in_c_order_trains_alone(self, monkeypatch):
-        # The row shares of x @ W.T are checked for C-ordered rows only.
-        x, y = above_one_block(4097, 5)
-        x = np.asfortranarray(x)
+    def test_rows_in_fortran_order_give_the_bits_of_c_order(self, monkeypatch):
+        # k = 1, where x @ W.T is a matrix-vector product whose bits depend on the layout.
+        x, y = above_one_block(16385, 3)
+        rows = np.asfortranarray(x)
         config = TrainConfig(epochs=5, learning_rate=2.0, seed=3)
-        alone = train_alone(monkeypatch, x, y, 4, config)
+        alone = train_alone(monkeypatch, x, y, 1, config)
         forks = force_helper(monkeypatch)
-        assert_same_weights(train(x, y, 4, config), alone)
-        assert forks == []
+        assert_same_weights(train(rows, y, 1, config), alone)
+        assert len(forks) == 1
+        model = init_model(3, 1, seed=5, init_scale=2.0)
+        assert_same_bits(forward_batch(model, rows), forward_batch(model, x))
+        for got, expected in zip(mse_gradients(model, rows, y), mse_gradients(model, x, y)):
+            assert_same_bits(got, expected)
 
     def test_the_shared_mapping_holds_n_by_k_plus_n_doubles(self, monkeypatch, mapped):
         force_helper(monkeypatch)

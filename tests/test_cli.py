@@ -707,6 +707,36 @@ class TestConfigFile:
                      "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("write", [json.dumps, lambda cfg: "".join(
+        f"{key} = {value}\n" for key, value in cfg.items())], ids=["json", "key-value"])
+    def test_config_sets_a_required_flag(self, tmp_path, capsys, write):
+        data = write_separable_csv(tmp_path / "d.csv")
+        cfg, a, b = tmp_path / "run.cfg", tmp_path / "a.json", tmp_path / "b.json"
+        cfg.write_text(write({"data": data, "out": str(a), "epochs": 50}))
+        code, _, err = run(capsys, ["--config", str(cfg), "train"])
+        assert code == 0, err
+        run(capsys, ["train", "--data", data, "--epochs", "50", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+        csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(write({"out": str(csv_a), "n": 40}))
+        code, _, err = run(capsys, ["--config", str(cfg), "synth"])
+        assert code == 0, err
+        run(capsys, ["synth", "--n", "40", "--out", str(csv_b)])
+        assert csv_a.read_bytes() == csv_b.read_bytes()
+
+    @pytest.mark.parametrize("command, key", [("train", "data"), ("train", "out"),
+                                              ("synth", "out")])
+    def test_null_required_flag_is_usage_error(self, tmp_path, capsys, command, key):
+        data = write_separable_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.json"
+        given = {"data": data, "out": str(tmp_path / "m.json")}
+        cfg.write_text(json.dumps({**given, key: None} if command == "train" else {key: None}))
+        code, _, err = run(capsys, ["--config", str(cfg), command])
+        assert code == 2
+        assert f"the following arguments are required: --{key}" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("just some words without an assignment\n")
