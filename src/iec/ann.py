@@ -37,17 +37,16 @@ block's shape; each cell still gets the same one operation, so the same
 bits.  For k >= 2, ``einsum("ij->j")`` adds ``delta_h``'s rows one after
 another, the order of ``sum(axis=0)`` on a C-ordered array, in fewer
 passes; for k = 1 the two pair the terms differently, so ``sum`` stays.
-Where it may use another CPU, ``train`` forks a helper, while the machine has
-a CPU for it.  The helper takes the rows from ``mid`` on (n // 2 rounded down
-to a multiple of 64) in the forward pass, its two products included, and in
-the ``delta_h`` pass, and it sums ``grad_b`` beside ``grad_W``.  Under one
-BLAS thread, a product over rows split at a multiple of 64 gives the whole
-product's bits; an unaligned split may not.  So the helper runs only under
-one thread, the case ``tests/test_ann.py`` checks; while it is stopped or its
-fork fails, this process runs its rows too, at the same split.  The loss,
-``grad_c``, ``grad_c0`` and ``grad_W`` stay whole in this process, so each
-cell gets the same bits either way.  Only a step whose helper may run maps its
-state shared.  Every step works on C-ordered rows: the bits follow the values.
+A step whose hidden layer spans more than one block runs the forward pass, its
+two products included, and the ``delta_h`` pass in two parts, the rows before
+and from ``mid`` (n // 2 rounded down to a multiple of 64), and sums ``grad_b``
+beside ``grad_W``.  Where it may use another CPU, ``train`` forks a helper for
+the second parts while the machine has a CPU for it.  The split follows the
+shape alone, so a helper changes no bits.  Those bits are the expressions'
+only where the kernel's 64-aligned row shares of a product carry the whole
+product's bits: ``tests/test_ann.py`` checks that for k <= 32, and OpenBLAS's
+SkylakeX kernels break it above k = 192.  Only a step whose helper may run maps
+its state shared.  Every step works on C-ordered rows: the bits follow the values.
 """
 
 from __future__ import annotations
@@ -148,8 +147,7 @@ def _cpu_count() -> int:
 
 def _alone_on_x86() -> bool:
     """Whether this process runs one thread (BLAS worker threads would compete with a
-    helper, and split products keep their bits under one BLAS thread) on x86-64, where
-    each process sees the other's stores in order."""
+    helper for the CPUs) on x86-64, where each process sees the other's stores in order."""
     tasks = "/proc/self/task"  # Linux's list of this process's threads
     return platform.machine() == "x86_64" and os.path.isdir(tasks) and len(os.listdir(tasks)) == 1
 
@@ -172,8 +170,9 @@ class _Step:
     ``w``, ``b``, ``c``, ``c0`` (the model's weights, copied in once), ``hidden`` and ``out``
     share one block of heap memory.  ``forward`` fills ``hidden`` and ``out``; ``backward``
     fills the gradients, returns the loss and the output-bias gradient and turns ``out`` into
-    the output deltas (``delta``).  Each phase has two parts (``_part``); only ``with step:``
-    checks whether a helper may run, and there maps the block shared, sets ``mid`` and forks.
+    the output deltas (``delta``).  Each phase has two parts (``_part``), split at ``mid``,
+    which the shape alone sets; only ``with step:`` checks whether a helper may run, and there
+    maps the block shared and forks.
     """
 
     def __init__(self, x: np.ndarray, model: MlpModel):
@@ -184,13 +183,15 @@ class _Step:
         self.grad_w = np.empty((k, d))
         self.scratch = np.empty((max(1, min(n, BLOCK_ELEMENTS // k)), k))
         self.residual, self.out_scratch = np.empty(n), np.empty(n)
-        self.mid, self.pid, self.parent = n, None, os.getpid()
+        self.mid = n // 2 // 64 * 64 if n * k > BLOCK_ELEMENTS else n  # see the module docstring
+        self.pid, self.parent = None, os.getpid()
 
     def _lay_out(self, shared: bool, *weights) -> None:
         """Copy ``weights`` (w, b, c, c0) into a new block, anonymous shared or heap memory."""
         n, (k, d) = len(self.x), weights[0].shape
         size = n * k + n + k * d + 4 * k + 1
         memory = mmap.mmap(-1, 8 * size + 16) if shared else np.empty(size + 2)
+        self.shared = shared  # only where a helper may run
         cells = np.frombuffer(memory, np.float64, size)
         self.flags = np.frombuffer(memory, np.int64, 2, 8 * size)
         self.hidden = cells[:n * k].reshape(n, k)
@@ -201,9 +202,8 @@ class _Step:
         self.w[:], self.b[:], self.c[:], self.c0[:] = weights
 
     def __enter__(self):
-        if self.hidden.size > BLOCK_ELEMENTS and _cpu_count() > 1 and _alone_on_x86():
+        if self.mid < len(self.hidden) and _cpu_count() > 1 and _alone_on_x86():
             self._lay_out(True, self.w, self.b, self.c, self.c0)  # from the block it replaces
-            self.mid = len(self.hidden) // 2 // 64 * 64  # see the module docstring
             self._start()
         return self
 
@@ -220,7 +220,7 @@ class _Step:
 
     def follow_load(self) -> None:
         """At an epoch's end, where a helper may run, stop or start it (see ``SWITCH_EPOCHS``)."""
-        if self.mid < len(self.hidden):
+        if self.shared:
             spare = _spare_cpus()  # the helper, where it runs, is one of the runnable tasks
             self.streak = self.streak + 1 if (spare < 0 if self.pid else spare > 0) else 0
             if self.streak == SWITCH_EPOCHS:

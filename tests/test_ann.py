@@ -505,7 +505,10 @@ def test_importing_iec_before_numpy_sets_one_blas_thread():
 
 
 # Run with one BLAS thread: whether 64-aligned row shares of the forward products carry
-# the whole products' bits.  Prints the first shape where they do not, with the BLAS core.
+# the whole products' bits, which a large step's weights need to equal the plain
+# expressions' (a helper changes no bits either way: every large step splits).  k is
+# drawn from 1-32; the SkylakeX kernels break this above k = 192.  Prints the first
+# shape where the bits differ, with the BLAS core.
 SPLIT_PREMISE = """
 import ctypes
 import numpy as np
@@ -594,6 +597,9 @@ class TestHelper:
         (24001, 48, 1),  # k = 1 and wide rows, where x @ W.T is a matrix-vector product
         (49999, 64, 1),
         (100, 3, 200),  # n x k 20,000, just above one block, and the helper takes every row
+        # k > 192, where the SkylakeX kernels give 64-aligned row shares of x @ W.T other
+        # bits than the whole product.
+        (1000, 60, 250),
     ])
     def test_the_helper_keeps_the_bits(self, n, d, k, monkeypatch):
         x, y = above_one_block(n, d, seed=n)
@@ -603,6 +609,25 @@ class TestHelper:
         shared = train(x, y, k, config)
         assert len(forks) == 1
         assert_same_weights(shared, alone)
+
+    def test_the_split_follows_the_shape_alone(self, monkeypatch):
+        # Training alone, training with a helper, a forward pass and one gradient all split
+        # 4,097 x 4 at row 2,048, so no kernel can give the helper other bits.
+        x, y = above_one_block(4097, 5)
+        mids, part = set(), ann._Step._part
+
+        def recorded_part(step, *args):
+            mids.add(step.mid)
+            part(step, *args)
+
+        monkeypatch.setattr(ann._Step, "_part", recorded_part)
+        train_alone(monkeypatch, x, y, 4, TrainConfig(epochs=2))
+        forks = force_helper(monkeypatch)
+        train(x, y, 4, TrainConfig(epochs=2))
+        model = init_model(5, 4, seed=0)
+        forward_batch(model, x)
+        mse_gradients(model, x, y)
+        assert len(forks) == 1 and mids == {2048}
 
     @pytest.mark.parametrize("spare, forked, stopped", [
         # Tasks wait for a CPU at the end of epochs 1-16: the helper stops after the 16th.
