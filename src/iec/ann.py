@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import (fields, require_int, require_matrix, require_number, require_numbers,
-                      round_half_away)
+from iec.data import (fields, require_int, require_matrix, require_nonempty_matrix,
+                      require_number, require_numbers, require_vector, round_half_away)
 
 
 def sigmoid(x):
@@ -98,10 +98,8 @@ class MlpModel:
         k = require_int("hidden_count", self.hidden_count, 1)
         w = require_numbers("hidden_weights", self.hidden_weights,
                             (k, require_int("input_dim", self.input_dim, 1)))
-        b = require_numbers("hidden_biases", self.hidden_biases)
-        c = require_numbers("output_weights", self.output_weights)
-        if b.shape != (k,) or c.shape != (k,):
-            raise ValueError("hidden_biases and output_weights must have one entry per neuron")
+        b = require_numbers("hidden_biases", self.hidden_biases, (k,))
+        c = require_numbers("output_weights", self.output_weights, (k,))
         for name, arr in (("hidden_weights", w), ("hidden_biases", b), ("output_weights", c)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -329,11 +327,10 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def forward(model: MlpModel, z) -> float:
-    """Network output in (0, 1) for a single input vector."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.input_dim,):
-        raise ValueError(f"input must have length {model.input_dim}")
-    return float(forward_batch(model, z[np.newaxis, :])[0])
+    """Network output in (0, 1) for a single input vector.  The kernel's one-row path may give
+    other last bits than this row's ``forward_batch`` output, which in turn can depend on the
+    rest of its batch."""
+    return float(forward_batch(model, require_vector("z", z, model.input_dim)[np.newaxis])[0])
 
 
 def classify(model: MlpModel, z) -> int:
@@ -345,21 +342,11 @@ def classify_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return (forward_batch(model, x) > 0.5).astype(np.int64)
 
 
-def _rows_to_average(name: str, x, width: int | None = None) -> np.ndarray:
-    """``require_matrix``, and at least one row: the loss and its gradients are row means."""
-    x = require_matrix(name, x, width)
-    if not len(x):
-        raise ValueError(f"{name} must have at least one row, got shape {x.shape}")
-    return x
-
-
 def mse_loss(model: MlpModel, x: np.ndarray, targets) -> float:
     """Mean squared error of the network outputs against 0/1 targets."""
-    targets = np.asarray(targets, dtype=np.float64)
-    out = forward_batch(model, _rows_to_average("x", x, model.input_dim))
-    if targets.shape != out.shape:
-        raise ValueError("one target per input row required")
-    return float(np.mean((out - targets) ** 2))
+    x = require_nonempty_matrix("x", x, model.input_dim)
+    targets = require_vector("targets", targets, len(x), np.float64)
+    return float(np.mean((forward_batch(model, x) - targets) ** 2))
 
 
 def mse_gradients(model: MlpModel, x: np.ndarray, targets):
@@ -368,10 +355,8 @@ def mse_gradients(model: MlpModel, x: np.ndarray, targets):
     Returns (grad_hidden_weights, grad_hidden_biases, grad_output_weights,
     grad_output_bias).
     """
-    x = _rows_to_average("x", x, model.input_dim)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != (x.shape[0],):
-        raise ValueError("one target per input row required")
+    x = require_nonempty_matrix("x", x, model.input_dim)
+    targets = require_vector("targets", targets, len(x), np.float64)
     step = _Step(x, model).forward()
     _, grad_c0 = step.backward(targets)
     return step.grad_w, step.grad_b.copy(), step.grad_c.copy(), grad_c0
@@ -401,10 +386,8 @@ def train(train_rows: np.ndarray, targets, k: int, config: TrainConfig) -> MlpMo
     Inputs are expected to be scaled to [0, 1].  Raises FloatingPointError if the loss
     goes non-finite, reporting the epoch, and RuntimeError if the helper process dies.
     """
-    x = _rows_to_average("train_rows", train_rows)
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != (x.shape[0],):
-        raise ValueError("one target per training row required")
+    x = require_nonempty_matrix("train_rows", train_rows)
+    y = require_vector("targets", targets, len(x), np.float64)
 
     start = init_model(x.shape[1], k, config.seed, config.init_scale)
     lr = config.learning_rate

@@ -40,9 +40,19 @@ def require_int(name: str, value, minimum: int, maximum: int | None = None):
     return value
 
 
-def require_labels(name: str, values) -> np.ndarray:
-    """``values`` as an array if every item is 0 or 1, else a ValueError naming ``name``."""
-    values = np.asarray(values)
+def require_vector(name: str, values, length: int | None = None, dtype=None) -> np.ndarray:
+    """``values`` as a 1-d array of ``length`` items (any if None) and ``dtype`` (kept if None),
+    else a ValueError naming ``name``."""
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim != 1 or (length is not None and len(values) != length):
+        of_length = "" if length is None else f" of length {length}"
+        raise ValueError(f"{name} must be a vector{of_length}, got shape {values.shape}")
+    return values
+
+
+def require_labels(name: str, values, length: int | None = None) -> np.ndarray:
+    """``require_vector``, and every item 0 or 1, else a ValueError naming ``name``."""
+    values = require_vector(name, values, length)
     ok = np.isin(values, (0, 1))
     if not ok.all():
         raise ValueError(f"{name} must be 0 or 1, got {values[~ok][0].item()!r}")
@@ -55,6 +65,14 @@ def require_matrix(name: str, x, width: int | None = None) -> np.ndarray:
     if x.ndim != 2 or (width is not None and x.shape[1] != width):
         of_width = "" if width is None else f" of width {width}"
         raise ValueError(f"{name} must be a 2-d matrix{of_width}, got shape {x.shape}")
+    return x
+
+
+def require_nonempty_matrix(name: str, x, width: int | None = None) -> np.ndarray:
+    """``require_matrix``, and at least one row (a dataset, a fitted range, a row mean)."""
+    x = require_matrix(name, x, width)
+    if not len(x):
+        raise ValueError(f"{name} must have at least one row, got shape {x.shape}")
     return x
 
 
@@ -165,18 +183,14 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self._adopt(np.array(self.rows, dtype=np.float64), np.asarray(self.labels))
+        self._adopt(np.array(self.rows, dtype=np.float64), self.labels)
 
-    def _adopt(self, rows: np.ndarray, labels: np.ndarray) -> None:
+    def _adopt(self, rows: np.ndarray, labels) -> None:
         """Check ``rows`` (float64 no caller may write) and ``labels``; keep both read-only."""
         require_unique_names(self.specs)
-        rows = require_matrix("rows", rows, len(self.specs))
-        if rows.shape[0] < 1:
-            raise ValueError("dataset needs at least one row")
-        if labels.shape != (rows.shape[0],):
-            raise ValueError("labels must be one per row")
+        rows = require_nonempty_matrix("rows", rows, len(self.specs))
         # Checked before the cast, which would truncate 0.5 to 0 and fail on NaN.
-        labels = require_labels("labels", labels).astype(np.int64)
+        labels = require_labels("labels", labels, len(rows)).astype(np.int64)
         require_rows(rows, self.specs)
         rows.setflags(write=False)
         labels.setflags(write=False)
@@ -339,8 +353,8 @@ def load_csv(path, label_column: str, positive_label: str,
 
 
 def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:
-    """Fit min/max over every column of a plain numeric matrix."""
-    x = np.asarray(x, dtype=np.float64)
+    """Fit min/max over every column of a plain numeric matrix of at least one row."""
+    x = require_nonempty_matrix("x", x)
     return ScalingParams(x.min(axis=0), x.max(axis=0))
 
 
@@ -400,6 +414,7 @@ def split_indices(labels: np.ndarray, train_fraction: float,
     train side (halves round away from zero).  Deterministic given the seed.
     """
     require_protocol(1, train_fraction)
+    labels = require_labels("labels", labels)
     rng = np.random.default_rng(require_int("seed", seed, 0))
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []

@@ -24,7 +24,8 @@ from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes, fields,
                       min_max_apply_matrix, min_max_fit_matrix, require_int, require_list,
-                      require_matrix, require_protocol, require_rows, split_indices)
+                      require_matrix, require_protocol, require_rows, require_vector,
+                      split_indices)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -63,12 +64,13 @@ def network_input(rows: np.ndarray, specs, selected, op=None) -> np.ndarray:
     The selected features come first, in the order of ``selected``: a
     continuous feature as one column, a categorical one with m categories as
     m indicator columns.  ``op`` (the tree's prediction, the OP column), when
-    given, is the last column.
+    given, is the last column: one value per row.
     """
     rows = require_matrix("rows", rows, len(specs))
     if not selected:
         raise ValueError("feature selection cannot be empty")
     n = rows.shape[0]
+    op = None if op is None else require_vector("op", op, n)
     out = np.zeros((n, sum(_width(specs[j]) for j in selected) + (op is not None)))
     at = 0
     for j in selected:

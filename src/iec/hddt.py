@@ -33,7 +33,8 @@ import numpy as np
 
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, fields, require_int,
                       require_labels, require_list, require_matrix, require_number,
-                      require_numbers, require_unique_names, specs_from_dicts, specs_to_dicts)
+                      require_numbers, require_unique_names, require_vector, specs_from_dicts,
+                      specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -135,10 +136,8 @@ def _terms(pos: np.ndarray, neg: np.ndarray, total_pos: float, total_neg: float)
 
 def _split_inputs(values, labels) -> tuple[np.ndarray, np.ndarray]:
     """``values`` (as float64) and ``labels`` as equal-length vectors, labels only 0 and 1."""
-    values, labels = np.asarray(values, dtype=np.float64), require_labels("labels", labels)
-    if values.shape != labels.shape or values.ndim != 1:
-        raise ValueError("values and labels must be equal-length vectors")
-    return values, labels
+    values = require_vector("values", values, dtype=np.float64)
+    return values, require_labels("labels", labels, len(values))
 
 
 def best_split_numeric(values, labels, feature_index: int = 0) -> SplitCandidate | None:

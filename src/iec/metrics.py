@@ -59,9 +59,8 @@ class MetricsReport:
 
 def confusion(predicted, actual) -> ConfusionMatrix:
     """Count prediction outcomes against ground truth (both 0/1 vectors)."""
-    pred, act = require_labels("predicted", predicted), require_labels("actual", actual)
-    if pred.shape != act.shape or pred.ndim != 1:
-        raise ValueError("predicted and actual must be equal-length vectors")
+    pred = require_labels("predicted", predicted)
+    act = require_labels("actual", actual, len(pred))
     return ConfusionMatrix(
         tp=int(((pred == 1) & (act == 1)).sum()),
         fp=int(((pred == 1) & (act == 0)).sum()),

@@ -336,7 +336,8 @@ class TestGradients:
         model = zero_model(d=2, k=1)
         with pytest.raises(ValueError):
             mse_gradients(model, np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ValueError, match="^one target per input row required$"):
+        with pytest.raises(ValueError,
+                           match=r"^targets must be a vector of length 3, got shape \(2,\)$"):
             mse_loss(model, np.zeros((3, 2)), [0, 1])
 
 
@@ -795,7 +796,7 @@ class TestModelValidation:
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="hidden_weights"):
             MlpModel(2, 2, np.zeros((1, 2)), np.zeros(2), np.zeros(2), 0.0)
-        with pytest.raises(ValueError, match="per neuron"):
+        with pytest.raises(ValueError, match="hidden_biases must be 2 finite values"):
             MlpModel(2, 2, np.zeros((2, 2)), np.zeros(3), np.zeros(2), 0.0)
 
     def test_finiteness_required(self):

@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from iec import ensemble
+from iec.ann import TrainConfig, forward_batch, init_model
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
                       ScalingParams, category_codes, fields, imbalance_cv, load_csv,
                       min_max_apply_matrix, min_max_fit_matrix,
-                      repeated_eval_protocol, require_labels, require_matrix, round_half_away,
-                      specs_from_dicts, specs_to_dicts, split_indices,
+                      repeated_eval_protocol, require_labels, require_matrix, require_vector,
+                      round_half_away, specs_from_dicts, specs_to_dicts, split_indices,
                       stratified_split, synth_generate)
 from iec.ensemble import network_input
 from iec.hddt import best_split_categorical
@@ -208,6 +210,23 @@ class TestInputRuleOwners:
     def test_nan_is_a_value_not_a_shape_fault(self):
         # hddt.predict routes NaN to the right child, so the matrix rule lets it through.
         assert np.isnan(require_matrix("x", [[np.nan]], 1)).all()
+
+    def test_vector_returned_in_the_callers_dtype_without_a_copy(self):
+        for values in (np.arange(3, dtype=np.int8), np.zeros(3, dtype=np.float32)):
+            assert require_vector("values", values, 3) is values
+
+    def test_list_labels_split_as_the_same_int64_array(self):
+        # A list compared unequal to each label, so each class had 0 rows.
+        labels = [0, 1, 0, 1, 0, 1, 1, 0]
+        got, want = split_indices(labels, 0.5, 3), split_indices(np.array(labels), 0.5, 3)
+        for side, same in zip(got, want):
+            np.testing.assert_array_equal(side, same)
+
+    def test_no_rows_give_no_outputs(self):
+        data = continuous_dataset([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [0, 1, 0, 1])
+        model = ensemble.fit(data, train_config=TrainConfig(epochs=1))
+        assert forward_batch(init_model(2, 1, 0), np.zeros((0, 2))).shape == (0,)
+        assert ensemble.predict(model, np.zeros((0, 2))).shape == (0,)
 
 
 class TestMinMax:
@@ -565,7 +584,8 @@ class TestDatasetInvariants:
             continuous_dataset([[1.0]], [2])
 
     def test_one_label_per_row(self):
-        with pytest.raises(ValueError, match="^labels must be one per row$"):
+        with pytest.raises(ValueError,
+                           match=r"^labels must be a vector of length 3, got shape \(2,\)$"):
             continuous_dataset([[1.0], [2.0], [3.0]], [0, 1])
 
     def test_subset_copies_its_rows_once(self):
@@ -593,7 +613,8 @@ class TestDatasetInvariants:
 
     @pytest.mark.parametrize("indices", [[], np.array([], dtype=np.int64)], ids=["list", "array"])
     def test_empty_subset_rejected(self, indices):
-        with pytest.raises(ValueError, match="dataset needs at least one row"):
+        with pytest.raises(ValueError,
+                           match=r"^rows must have at least one row, got shape \(0, 2\)$"):
             labelled_dataset(3, 2).subset(indices)
 
     @pytest.mark.parametrize("labels", [[0.5, 1], [np.nan, 1]], ids=["half", "nan"])

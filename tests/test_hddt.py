@@ -127,7 +127,8 @@ class TestBestSplitNumeric:
         assert cand.threshold == 1.5
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal-length"):
+        with pytest.raises(ValueError,
+                           match=r"^labels must be a vector of length 3, got shape \(2,\)$"):
             best_split_numeric([1, 2, 3], [0, 1])
 
     def test_one_row_rejected(self):
@@ -202,7 +203,8 @@ class TestBestSplitCategorical:
             best_split_categorical([0, 0], [1, 0], 1)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal-length"):
+        with pytest.raises(ValueError,
+                           match=r"^labels must be a vector of length 2, got shape \(1,\)$"):
             best_split_categorical([0, 1], [1], 2)
 
     def test_same_bits_as_hellinger_split_score(self):

@@ -1,10 +1,11 @@
 """One table of the package's shared input rules: every site that takes a count or a seed,
-0/1 labels, an input matrix or rows of a feature schema, with an input it must reject and
-the message of the rule's one owner in ``iec.data`` (``require_int``, ``require_labels``,
-``require_matrix``, ``require_rows``).  Split partitions, lists of (pos, neg) counts, also
-go through ``require_list``, and the network's loss and gradients take a matrix of at least
-one row (``ann._rows_to_average``).  ``forward_batch`` and ``ensemble.predict`` take no rows
-and return no outputs."""
+a vector of one value per row, 0/1 labels, an input matrix, a matrix of at least one row or
+rows of a feature schema, with an input it must reject and the message of the rule's one
+owner in ``iec.data`` (``require_int``, ``require_vector``, ``require_labels``,
+``require_matrix``, ``require_nonempty_matrix``, ``require_rows``).  Labels go through the
+vector rule inside ``require_labels``.  Split partitions, lists of (pos, neg) counts, also
+go through ``require_list``.  ``tests/test_data.py::TestInputRuleOwners`` holds the inputs
+the owners pass, among them no rows for ``forward_batch`` and ``ensemble.predict``."""
 
 import re
 
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 from iec import ann, ensemble, hddt
-from iec.ann import (TrainConfig, forward_batch, hidden_neuron_count, init_model, mse_gradients,
-                     mse_loss)
+from iec.ann import (MlpModel, TrainConfig, forward, forward_batch, hidden_neuron_count,
+                     init_model, mse_gradients, mse_loss)
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, ScalingParams, min_max_apply_matrix,
-                      split_indices, synth_generate)
+                      min_max_fit_matrix, split_indices, synth_generate)
 from iec.ensemble import network_input, run_benchmark
 from iec.hddt import TreeConfig, best_split_categorical, best_split_numeric, hellinger_split_score
 from iec.metrics import ConfusionMatrix, confusion
@@ -29,8 +30,13 @@ NET = init_model(2, 1, 0)
 SCALING = ScalingParams((0.0, 0.0), (1.0, 1.0))
 ROW = np.zeros(2)
 WIDE = np.zeros((2, 3))
+TWO = np.zeros((2, 2))
+NO_ROWS = np.zeros((0, 2))
 NOT_2D = "must be a 2-d matrix of width 2, got shape (2,)"
 TOO_WIDE = "must be a 2-d matrix of width 2, got shape (2, 3)"
+SHORT = "must be a vector of length 2, got shape (1,)"
+COLUMN = "must be a vector of length 2, got shape (2, 1)"
+SCALAR = "must be a vector of length 2, got shape ()"
 
 CASES = [
     # Counts: require_int.
@@ -73,6 +79,42 @@ CASES = [
     ("run_benchmark-seed-bool", lambda: run_benchmark(
         synth_generate(20, 1, 0, 0.25, 0), 1, 0.5, True, TreeConfig(), TrainConfig(epochs=1)),
      "seed must be an integer >= 0, got True"),
+    # One value per row: require_vector, given short, 2-d and scalar vectors across the sites.
+    ("Dataset-labels-short", lambda: Dataset(SPECS, TWO, [0]), "labels " + SHORT),
+    ("Dataset-labels-2d", lambda: Dataset(SPECS, TWO, [[0], [1]]), "labels " + COLUMN),
+    ("Dataset-labels-scalar", lambda: Dataset(SPECS, TWO, 0), "labels " + SCALAR),
+    ("best_split_numeric-values-2d", lambda: best_split_numeric([[1.0], [2.0]], [0, 1]),
+     "values must be a vector, got shape (2, 1)"),
+    ("best_split_numeric-labels-short", lambda: best_split_numeric([1.0, 2.0], [0]),
+     "labels " + SHORT),
+    ("best_split_categorical-labels-2d",
+     lambda: best_split_categorical([0.0, 1.0], [[0], [1]], 2), "labels " + COLUMN),
+    ("best_split_categorical-values-scalar", lambda: best_split_categorical(0.0, [0], 2),
+     "values must be a vector, got shape ()"),
+    ("confusion-predicted-2d", lambda: confusion([[0, 1]], [0, 1]),
+     "predicted must be a vector, got shape (1, 2)"),
+    ("confusion-actual-short", lambda: confusion([0, 1], [1]), "actual " + SHORT),
+    ("confusion-actual-scalar", lambda: confusion([0, 1], 1), "actual " + SCALAR),
+    ("forward-short", lambda: forward(NET, [0.0]), "z " + SHORT),
+    ("forward-2d", lambda: forward(NET, [[0.0], [0.0]]), "z " + COLUMN),
+    ("forward-scalar", lambda: forward(NET, 0.0), "z " + SCALAR),
+    ("mse_loss-targets-short", lambda: mse_loss(NET, TWO, [0.0]), "targets " + SHORT),
+    ("mse_loss-targets-2d", lambda: mse_loss(NET, TWO, [[0.0], [1.0]]), "targets " + COLUMN),
+    ("mse_gradients-targets-short", lambda: mse_gradients(NET, TWO, [0.0]), "targets " + SHORT),
+    ("mse_gradients-targets-scalar", lambda: mse_gradients(NET, TWO, 0.0), "targets " + SCALAR),
+    ("train-targets-short", lambda: ann.train(TWO, [0.0], 1, TrainConfig(epochs=1)),
+     "targets " + SHORT),
+    ("train-targets-2d", lambda: ann.train(TWO, [[0.0], [1.0]], 1, TrainConfig(epochs=1)),
+     "targets " + COLUMN),
+    ("split_indices-2d", lambda: split_indices(np.array([[0, 1], [0, 1], [1, 0]]), 0.5, 0),
+     "labels must be a vector, got shape (3, 2)"),
+    ("network_input-op-short", lambda: network_input(TWO, SPECS, [0], [0.5]), "op " + SHORT),
+    ("network_input-op-scalar", lambda: network_input(TWO, SPECS, [0], 0.5), "op " + SCALAR),
+    # One value per neuron: require_numbers with the shape (k,).
+    ("MlpModel-hidden_biases", lambda: MlpModel(2, 1, np.zeros((1, 2)), [0.0, 0.0], [0.0], 0.0),
+     "hidden_biases must be 1 finite values, got [0.0, 0.0]"),
+    ("MlpModel-output_weights", lambda: MlpModel(2, 1, np.zeros((1, 2)), [0.0], [], 0.0),
+     "output_weights must be 1 finite values, got []"),
     # 0/1 labels: require_labels.
     ("Dataset-label", lambda: Dataset(SPECS, [[0.0, 1.0], [1.0, 0.0]], [0, 2]),
      "labels must be 0 or 1, got 2"),
@@ -84,6 +126,8 @@ CASES = [
      "predicted must be 0 or 1, got 2"),
     ("confusion-actual", lambda: confusion([0, 1], [2, 1]),
      "actual must be 0 or 1, got 2"),
+    ("split_indices-label", lambda: split_indices([0, 2], 0.5, 0),
+     "labels must be 0 or 1, got 2"),
     # Input matrices: require_matrix.
     ("Dataset-1d", lambda: Dataset(SPECS, ROW, [0]), "rows " + NOT_2D),
     ("Dataset-width", lambda: Dataset(SPECS, WIDE, [0, 1]), "rows " + TOO_WIDE),
@@ -97,15 +141,22 @@ CASES = [
     ("mse_gradients-width", lambda: mse_gradients(NET, WIDE, [0.0, 1.0]), "x " + TOO_WIDE),
     ("train-1d", lambda: ann.train(ROW, [0.0, 1.0], 1, TrainConfig(epochs=1)),
      "train_rows must be a 2-d matrix, got shape (2,)"),
-    # The loss and its gradients are means over rows, so these take at least one.
-    ("train-no-rows", lambda: ann.train(np.zeros((0, 2)), [], 1, TrainConfig(epochs=1)),
+    # At least one row: require_nonempty_matrix.  The loss and its gradients are means over
+    # rows, a dataset has rows and a fitted range spans some.
+    ("train-no-rows", lambda: ann.train(NO_ROWS, [], 1, TrainConfig(epochs=1)),
      "train_rows must have at least one row, got shape (0, 2)"),
-    ("mse_gradients-no-rows", lambda: mse_gradients(NET, np.zeros((0, 2)), []),
+    ("mse_gradients-no-rows", lambda: mse_gradients(NET, NO_ROWS, []),
      "x must have at least one row, got shape (0, 2)"),
-    ("mse_loss-no-rows", lambda: mse_loss(NET, np.zeros((0, 2)), []),
+    ("mse_loss-no-rows", lambda: mse_loss(NET, NO_ROWS, []),
+     "x must have at least one row, got shape (0, 2)"),
+    ("Dataset-no-rows", lambda: Dataset(SPECS, NO_ROWS, []),
+     "rows must have at least one row, got shape (0, 2)"),
+    ("min_max_fit_matrix-no-rows", lambda: min_max_fit_matrix(NO_ROWS),
      "x must have at least one row, got shape (0, 2)"),
     ("min_max_apply_matrix-1d", lambda: min_max_apply_matrix(ROW, SCALING), "x " + NOT_2D),
     ("min_max_apply_matrix-width", lambda: min_max_apply_matrix(WIDE, SCALING), "x " + TOO_WIDE),
+    ("min_max_fit_matrix-1d", lambda: min_max_fit_matrix(ROW),
+     "x must be a 2-d matrix, got shape (2,)"),
     # Rows of a feature schema: require_rows.  hddt.predict routes NaN and inf, but the
     # network has no answer for them.
     ("ensemble.predict-nan", lambda: ensemble.predict(MODEL, [[np.nan, 0.0], [1.0, 0.0]]),
@@ -113,11 +164,6 @@ CASES = [
     ("ensemble.predict-inf", lambda: ensemble.predict(MODEL, [[0.0, 0.0], [np.inf, 0.0]]),
      "non-finite value at row 1, feature 'a'"),
 ]
-
-
-def test_no_rows_give_no_outputs():
-    assert forward_batch(NET, np.zeros((0, 2))).shape == (0,)
-    assert ensemble.predict(MODEL, np.zeros((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("call, message", [pytest.param(call, message, id=site)

@@ -30,7 +30,8 @@ class TestConfusion:
         assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 1, 1)
 
     def test_length_mismatch_and_empty(self):
-        with pytest.raises(ValueError, match="equal-length"):
+        with pytest.raises(ValueError,
+                           match=r"^actual must be a vector of length 2, got shape \(1,\)$"):
             confusion([1, 0], [1])
         with pytest.raises(ValueError, match="confusion matrix must cover at least one row"):
             confusion([], [])
