@@ -61,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import (fields, require_int, require_matrix, require_nonempty_matrix,
-                      require_number, require_numbers, require_vector, round_half_away)
+from iec.data import (fields, require_int, require_matrix, require_nonempty_matrix, require_number,
+                      require_numbers, require_positive, require_vector, round_half_away)
 
 
 def sigmoid(x):
@@ -116,9 +116,8 @@ class TrainConfig:
     def __post_init__(self):
         require_int("epochs", self.epochs, 1)
         require_int("seed", self.seed, 0)
-        for name in ("learning_rate", "init_scale"):
-            if require_number(name, getattr(self, name)) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        require_positive("learning_rate", self.learning_rate)
+        require_positive("init_scale", self.init_scale)
 
 
 def hidden_neuron_count(n: int, d_m: int) -> int:
@@ -369,6 +368,7 @@ def init_model(d_m: int, k: int, seed: int, init_scale: float = 0.5) -> MlpModel
     output bias.
     """
     d_m, k = require_int("input_dim", d_m, 1), require_int("hidden_count", k, 1)
+    init_scale = require_positive("init_scale", init_scale)
     rng = np.random.default_rng(require_int("seed", seed, 0))
     return MlpModel(
         input_dim=d_m,

@@ -76,12 +76,29 @@ def require_nonempty_matrix(name: str, x, width: int | None = None) -> np.ndarra
     return x
 
 
-def require_list(name: str, value, nonempty: bool = False):
-    """``value`` if it is a list or tuple, non-empty if ``nonempty``, else a ValueError."""
-    if not isinstance(value, (list, tuple)) or (nonempty and not value):
-        what = "non-empty list" if nonempty else "list"
-        raise ValueError(f"{name} must be a {what}, got {reprlib.repr(value)}")
+def require_list(name: str, value):
+    """``value`` if it is a list or tuple, else a ValueError naming ``name``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {reprlib.repr(value)}")
     return value
+
+
+def require_indices(name: str, values, size: int) -> tuple:
+    """``values`` (a list, tuple or range) as a tuple of at least one distinct integer (not a
+    bool) in ``0 .. size - 1``, else a ValueError naming ``name``."""
+    items = tuple(values) if isinstance(values, (list, tuple, range)) else ()
+    if not (items and all(not isinstance(j, bool) and isinstance(j, numbers.Integral)
+                          and 0 <= j < size for j in items) and len(set(items)) == len(items)):
+        raise ValueError(f"{name} must be a non-empty list of distinct integers in "
+                         f"0 .. {size - 1}, got {reprlib.repr(values)}")
+    return items
+
+
+def require_both_classes(name: str, neg, pos) -> tuple:
+    """The class counts ``(neg, pos)`` if each is at least 1, else a ValueError naming ``name``."""
+    if neg < 1 or pos < 1:
+        raise ValueError(f"{name} must hold both classes, got {neg} negative and {pos} positive")
+    return neg, pos
 
 
 def require_unique_names(specs) -> None:
@@ -114,6 +131,13 @@ def require_number(name: str, value, minimum: float = -math.inf,
         bound = (f" in {minimum} .. {maximum}" if maximum < math.inf
                  else f" >= {minimum}" if minimum > -math.inf else "")
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
+def require_positive(name: str, value) -> float:
+    """``require_number``, and above 0, else a ValueError naming ``name``."""
+    if require_number(name, value) <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
     return float(value)
 
 
@@ -392,10 +416,7 @@ def imbalance_cv(d: Dataset) -> float:
     Population standard deviation of (negative count, positive count) divided
     by their mean; 0 for a perfectly balanced dataset, >= 0.30 flags imbalance.
     """
-    neg, pos = d.class_counts()
-    if neg == 0 or pos == 0:
-        raise ValueError("imbalance_cv requires both classes to be present")
-    counts = np.array([neg, pos], dtype=np.float64)
+    counts = np.array(require_both_classes("d", *d.class_counts()), dtype=np.float64)
     return float(counts.std() / counts.mean())
 
 

@@ -23,9 +23,9 @@ import numpy as np
 from iec import ann, hddt, metrics
 from iec.ann import MlpModel, TrainConfig
 from iec.data import (CATEGORICAL, Dataset, ScalingParams, category_codes, fields,
-                      min_max_apply_matrix, min_max_fit_matrix, require_int, require_list,
-                      require_matrix, require_protocol, require_rows, require_vector,
-                      split_indices)
+                      min_max_apply_matrix, min_max_fit_matrix, require_both_classes,
+                      require_indices, require_int, require_matrix, require_protocol,
+                      require_rows, require_vector, split_indices)
 from iec.hddt import HddtModel, TreeConfig
 
 
@@ -40,11 +40,8 @@ class IecModel:
     d_m: int
 
     def __post_init__(self):
-        specs, selected = self.tree.specs, self.selected_features
-        selected = tuple(require_int("selected_features", j, 0, len(specs) - 1)
-                         for j in require_list("selected_features", selected, nonempty=True))
-        if len(set(selected)) != len(selected):
-            raise ValueError(f"selected_features must be distinct, got {list(selected)}")
+        specs = self.tree.specs
+        selected = require_indices("selected_features", self.selected_features, len(specs))
         object.__setattr__(self, "selected_features", selected)
         # d_m, the scaling and the network each span the selected features' columns and OP.
         width = 1 + sum(_width(specs[j]) for j in selected)
@@ -61,14 +58,13 @@ def _width(spec) -> int:
 def network_input(rows: np.ndarray, specs, selected, op=None) -> np.ndarray:
     """The network input matrix of ``rows``, allocated once and filled in slices.
 
-    The selected features come first, in the order of ``selected``: a
-    continuous feature as one column, a categorical one with m categories as
-    m indicator columns.  ``op`` (the tree's prediction, the OP column), when
-    given, is the last column: one value per row.
+    ``selected`` (a list, tuple or range) holds at least one distinct feature index in
+    0 .. len(specs) - 1.  Those features come first, in that order: a continuous feature as
+    one column, a categorical one with m categories as m indicator columns.  ``op`` (the
+    tree's prediction, the OP column), when given, is the last column: one value per row.
     """
     rows = require_matrix("rows", rows, len(specs))
-    if not selected:
-        raise ValueError("feature selection cannot be empty")
+    selected = require_indices("selected", selected, len(specs))
     n = rows.shape[0]
     op = None if op is None else require_vector("op", op, n)
     out = np.zeros((n, sum(_width(specs[j]) for j in selected) + (op is not None)))
@@ -88,16 +84,10 @@ def network_input(rows: np.ndarray, specs, selected, op=None) -> np.ndarray:
 def fit(train: Dataset, tree_config: TreeConfig | None = None,
         train_config: TrainConfig | None = None) -> IecModel:
     """Fit the full IEC pipeline on a training dataset."""
-    neg, pos = train.class_counts()
-    if neg == 0 or pos == 0:
-        raise ValueError("training data must contain both classes")
-
+    require_both_classes("train", *train.class_counts())
     tree = hddt.grow_tree(train, tree_config)
-    selected = hddt.select_features(tree)
-    if not selected:
-        # Degenerate tree (single leaf): keep every raw feature; the OP column
-        # is then the leaf's constant label.
-        selected = list(range(train.p))
+    # A one-leaf tree selects nothing: keep every raw feature; OP is then the leaf's label.
+    selected = hddt.select_features(tree) or list(range(train.p))
 
     scaling, net = _fit_network(train.rows, train.labels, tree.specs, selected,
                                 hddt.predict(tree, train.rows), train_config or TrainConfig())

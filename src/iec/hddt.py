@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, fields, require_int,
-                      require_labels, require_list, require_matrix, require_number,
-                      require_numbers, require_unique_names, require_vector, specs_from_dicts,
-                      specs_to_dicts)
+from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, fields,
+                      require_both_classes, require_int, require_labels, require_list,
+                      require_matrix, require_number, require_numbers, require_unique_names,
+                      require_vector, specs_from_dicts, specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -126,16 +126,16 @@ def _terms(pos: np.ndarray, neg: np.ndarray, total_pos: float, total_neg: float)
     (Python's ``** 2`` calls libm ``pow``, which can miss by one ulp), so equal
     partitions score equal bits whichever search finds them.
     """
-    if total_pos < 1 or total_neg < 1:
-        raise ValueError("both classes must be present at the node being split")
+    require_both_classes("split", total_neg, total_pos)
     d, e = pos / total_pos, neg / total_neg
     np.sqrt(d, out=d)
     d -= np.sqrt(e, out=e)
     return np.square(d, out=d)
 
 
-def _split_inputs(values, labels) -> tuple[np.ndarray, np.ndarray]:
-    """``values`` (as float64) and ``labels`` as equal-length vectors, labels only 0 and 1."""
+def _split_inputs(values, labels, feature_index) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` (float64) and ``labels`` (0 or 1) as equal-length vectors of a feature >= 0."""
+    require_int("feature_index", feature_index, 0)
     values = require_vector("values", values, dtype=np.float64)
     return values, require_labels("labels", labels, len(values))
 
@@ -147,7 +147,7 @@ def best_split_numeric(values, labels, feature_index: int = 0) -> SplitCandidate
     midpoint where it falls strictly below the upper one); ties in score go to
     the lowest threshold.  Returns None when all values are identical.
     """
-    values, labels = _split_inputs(values, labels)
+    values, labels = _split_inputs(values, labels, feature_index)
     if values.size < 2:
         raise ValueError("need at least two rows to split")
     column = values[:, np.newaxis]
@@ -246,10 +246,8 @@ def best_split_categorical(values, labels, category_count: int,
 
     Returns None when only a single category occurs.
     """
-    values, labels = _split_inputs(values, labels)
-    if category_count < 2:
-        raise ValueError("categorical splits need at least two declared categories")
-    idx = category_codes(values, category_count, feature_index)
+    values, labels = _split_inputs(values, labels, feature_index)
+    idx = category_codes(values, require_int("category_count", category_count, 2), feature_index)
     counts = np.bincount(idx * 2 + (labels == 1), minlength=2 * category_count)
     return _categorical_split(counts, feature_index)
 

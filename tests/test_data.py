@@ -9,7 +9,8 @@ from iec.ann import TrainConfig, forward_batch, init_model
 from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec,
                       ScalingParams, category_codes, fields, imbalance_cv, load_csv,
                       min_max_apply_matrix, min_max_fit_matrix,
-                      repeated_eval_protocol, require_labels, require_matrix, require_vector,
+                      repeated_eval_protocol, require_both_classes, require_indices,
+                      require_labels, require_matrix, require_positive, require_vector,
                       round_half_away, specs_from_dicts, specs_to_dicts, split_indices,
                       stratified_split, synth_generate)
 from iec.ensemble import network_input
@@ -221,6 +222,19 @@ class TestInputRuleOwners:
         got, want = split_indices(labels, 0.5, 3), split_indices(np.array(labels), 0.5, 3)
         for side, same in zip(got, want):
             np.testing.assert_array_equal(side, same)
+
+    def test_indices_returned_as_a_tuple(self):
+        assert require_indices("selected", range(3), 3) == (0, 1, 2)
+        assert require_indices("selected", [2, np.int64(0)], 3) == (2, 0)
+        rows = np.arange(6.0).reshape(3, 2)
+        specs = (FeatureSpec("a", CONTINUOUS), FeatureSpec("b", CONTINUOUS))
+        np.testing.assert_array_equal(network_input(rows, specs, range(2)), rows)
+
+    def test_class_counts_and_positive_numbers_returned(self):
+        assert require_both_classes("train", 1, 4) == (1, 4)
+        assert require_positive("init_scale", 2) == 2.0
+        assert init_model(2, 1, 0, 1).hidden_weights.tolist() == (
+            init_model(2, 1, 0, 1.0).hidden_weights.tolist())
 
     def test_no_rows_give_no_outputs(self):
         data = continuous_dataset([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [0, 1, 0, 1])

@@ -113,9 +113,9 @@ class TestAugment:
     def test_empty_selection_rejected(self):
         d = separable_dataset()
         tree = hddt.grow_tree(d)
-        with pytest.raises(ValueError, match="selection"):
+        with pytest.raises(ValueError, match="selected must be a non-empty list"):
             op_input(d.rows, tree, [])
-        with pytest.raises(ValueError, match="selection"):
+        with pytest.raises(ValueError, match="selected must be a non-empty list"):
             network_input(d.rows, d.specs, [])
 
     def test_schema_mismatch(self):

@@ -199,7 +199,7 @@ class TestBestSplitCategorical:
             best_split_categorical([0, 3], [1, 0], 3)
 
     def test_needs_two_declared_categories(self):
-        with pytest.raises(ValueError, match="two declared"):
+        with pytest.raises(ValueError, match="category_count must be an integer >= 2, got 1"):
             best_split_categorical([0, 0], [1, 0], 1)
 
     def test_length_mismatch(self):

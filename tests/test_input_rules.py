@@ -1,11 +1,13 @@
 """One table of the package's shared input rules: every site that takes a count or a seed,
-a vector of one value per row, 0/1 labels, an input matrix, a matrix of at least one row or
-rows of a feature schema, with an input it must reject and the message of the rule's one
-owner in ``iec.data`` (``require_int``, ``require_vector``, ``require_labels``,
-``require_matrix``, ``require_nonempty_matrix``, ``require_rows``).  Labels go through the
-vector rule inside ``require_labels``.  Split partitions, lists of (pos, neg) counts, also
-go through ``require_list``.  ``tests/test_data.py::TestInputRuleOwners`` holds the inputs
-the owners pass, among them no rows for ``forward_batch`` and ``ensemble.predict``."""
+a vector of one value per row, 0/1 labels, an input matrix, a matrix of at least one row,
+rows of a feature schema, a list of feature indices, data of both classes or a positive
+number, with an input it must reject and the message of the rule's one owner in ``iec.data``
+(``require_int``, ``require_vector``, ``require_labels``, ``require_matrix``,
+``require_nonempty_matrix``, ``require_rows``, ``require_indices``, ``require_both_classes``,
+``require_positive``).  Labels go through the vector rule inside ``require_labels``.  Split
+partitions, lists of (pos, neg) counts, also go through ``require_list``.
+``tests/test_data.py::TestInputRuleOwners`` holds the inputs the owners pass, among them no
+rows for ``forward_batch`` and ``ensemble.predict`` and a ``range`` of feature indices."""
 
 import re
 
@@ -15,8 +17,8 @@ import pytest
 from iec import ann, ensemble, hddt
 from iec.ann import (MlpModel, TrainConfig, forward, forward_batch, hidden_neuron_count,
                      init_model, mse_gradients, mse_loss)
-from iec.data import (CONTINUOUS, Dataset, FeatureSpec, ScalingParams, min_max_apply_matrix,
-                      min_max_fit_matrix, split_indices, synth_generate)
+from iec.data import (CONTINUOUS, Dataset, FeatureSpec, ScalingParams, imbalance_cv,
+                      min_max_apply_matrix, min_max_fit_matrix, split_indices, synth_generate)
 from iec.ensemble import network_input, run_benchmark
 from iec.hddt import TreeConfig, best_split_categorical, best_split_numeric, hellinger_split_score
 from iec.metrics import ConfusionMatrix, confusion
@@ -37,6 +39,8 @@ TOO_WIDE = "must be a 2-d matrix of width 2, got shape (2, 3)"
 SHORT = "must be a vector of length 2, got shape (1,)"
 COLUMN = "must be a vector of length 2, got shape (2, 1)"
 SCALAR = "must be a vector of length 2, got shape ()"
+INDICES = "must be a non-empty list of distinct integers in 0 .. 1, got "
+ONE_CLASS = Dataset(SPECS, TWO, [1, 1])
 
 CASES = [
     # Counts: require_int.
@@ -79,6 +83,58 @@ CASES = [
     ("run_benchmark-seed-bool", lambda: run_benchmark(
         synth_generate(20, 1, 0, 0.25, 0), 1, 0.5, True, TreeConfig(), TrainConfig(epochs=1)),
      "seed must be an integer >= 0, got True"),
+    # A split's feature index and declared category count: require_int.
+    ("best_split_numeric-feature_index-string",
+     lambda: best_split_numeric([1.0, 2.0], [0, 1], "x"),
+     "feature_index must be an integer >= 0, got 'x'"),
+    ("best_split_numeric-feature_index-negative",
+     lambda: best_split_numeric([1.0, 2.0], [0, 1], -3),
+     "feature_index must be an integer >= 0, got -3"),
+    ("best_split_categorical-feature_index-string",
+     lambda: best_split_categorical([0.0, 1.0], [0, 1], 2, "x"),
+     "feature_index must be an integer >= 0, got 'x'"),
+    ("best_split_categorical-feature_index-negative",
+     lambda: best_split_categorical([0.0, 1.0], [0, 1], 2, -3),
+     "feature_index must be an integer >= 0, got -3"),
+    ("best_split_categorical-category_count-float",
+     lambda: best_split_categorical([0.0, 1.0], [0, 1], 2.5),
+     "category_count must be an integer >= 2, got 2.5"),
+    # Feature indices: require_indices.
+    ("network_input-negative", lambda: network_input(TWO, SPECS, [-1]),
+     "selected " + INDICES + "[-1]"),
+    ("network_input-past-specs", lambda: network_input(TWO, SPECS, [5]),
+     "selected " + INDICES + "[5]"),
+    ("network_input-float", lambda: network_input(TWO, SPECS, [0.5]),
+     "selected " + INDICES + "[0.5]"),
+    ("network_input-bool", lambda: network_input(TWO, SPECS, [True]),
+     "selected " + INDICES + "[True]"),
+    ("network_input-repeated", lambda: network_input(TWO, SPECS, [0, 0]),
+     "selected " + INDICES + "[0, 0]"),
+    ("network_input-empty", lambda: network_input(TWO, SPECS, []), "selected " + INDICES + "[]"),
+    ("IecModel-repeated", lambda: ensemble.IecModel(
+        MODEL.tree, [0, 0], MODEL.scaling, MODEL.net, MODEL.d_m),
+     "selected_features " + INDICES + "[0, 0]"),
+    ("IecModel-negative", lambda: ensemble.IecModel(
+        MODEL.tree, [-1], MODEL.scaling, MODEL.net, MODEL.d_m),
+     "selected_features " + INDICES + "[-1]"),
+    # Both classes present: require_both_classes.
+    ("fit-one-class", lambda: ensemble.fit(ONE_CLASS),
+     "train must hold both classes, got 0 negative and 2 positive"),
+    ("imbalance_cv-one-class", lambda: imbalance_cv(ONE_CLASS),
+     "d must hold both classes, got 0 negative and 2 positive"),
+    ("hellinger_split_score-one-class", lambda: hellinger_split_score([(3, 0), (2, 0)]),
+     "split must hold both classes, got 0 negative and 5 positive"),
+    ("best_split_numeric-one-class", lambda: best_split_numeric([1.0, 2.0], [1, 1]),
+     "split must hold both classes, got 0.0 negative and 2.0 positive"),
+    ("best_split_categorical-one-class", lambda: best_split_categorical([0.0, 1.0], [0, 0], 2),
+     "split must hold both classes, got 2 negative and 0 positive"),
+    # A positive number: require_positive, the rule TrainConfig's rate and scale follow.
+    ("init_model-init_scale-nan", lambda: init_model(2, 1, 0, float("nan")),
+     "init_scale must be a finite number, got nan"),
+    ("init_model-init_scale-negative", lambda: init_model(2, 1, 0, -1.0),
+     "init_scale must be positive, got -1.0"),
+    ("init_model-init_scale-zero", lambda: init_model(2, 1, 0, 0.0),
+     "init_scale must be positive, got 0.0"),
     # One value per row: require_vector, given short, 2-d and scalar vectors across the sites.
     ("Dataset-labels-short", lambda: Dataset(SPECS, TWO, [0]), "labels " + SHORT),
     ("Dataset-labels-2d", lambda: Dataset(SPECS, TWO, [[0], [1]]), "labels " + COLUMN),
