@@ -91,7 +91,7 @@ def fit(train: Dataset, tree_config: TreeConfig | None = None,
 
     scaling, net = _fit_network(train.rows, train.labels, tree.specs, selected,
                                 hddt.predict(tree, train.rows), train_config or TrainConfig())
-    return IecModel(tree, tuple(selected), scaling, net, net.input_dim)
+    return IecModel(tree, selected, scaling, net, net.input_dim)
 
 
 def predict(model: IecModel, rows: np.ndarray) -> np.ndarray:
