@@ -22,26 +22,28 @@ from iec.ensemble import run_benchmark
 from iec.hddt import TreeConfig
 
 
-def _load_config(path: str) -> dict:
-    """Read a JSON-object or key=value config file into a flat dict."""
+def _read_document(path: str, key_value: bool = False):
+    """The JSON document in the UTF-8 file ``path`` (a byte-order mark is skipped, as
+    ``load_csv`` does), or with ``key_value`` its key=value lines as a dict where the text
+    does not start with "{"; a decode, JSON or line error names ``path``."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark, as load_csv does
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
         # Text that starts with "{" parses to an object or not at all.
-        cfg = json.loads(text) if text.lstrip().startswith("{") else None
+        if not key_value or text.lstrip().startswith("{"):
+            return json.loads(text)
     except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: {exc}") from None
-    if cfg is None:
-        cfg = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno} is not key=value")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
-    return {str(k).replace("-", "_"): v for k, v in cfg.items()}
+    doc = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno} is not key=value")
+        key, value = line.split("=", 1)
+        doc[key.strip()] = value.strip()
+    return doc
 
 
 def _add_data_flags(sub):
@@ -178,21 +180,13 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    if args.baseline == "constant0":
-        name = "constant0"
-        dataset = _load_dataset(args)
-        preds = np.zeros(dataset.n, dtype=np.int64)
+    model = ensemble.model_from_dict(_read_document(args.model)) if args.model else None
+    # With a model, columns are matched by name and encoded with the model's categories.
+    dataset = _load_dataset(args, None if model is None else model.tree.specs)
+    if model is None:
+        name, preds = "constant0", np.zeros(dataset.n, dtype=np.int64)
     else:
-        try:
-            with open(args.model, encoding="utf-8-sig") as fh:
-                doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{args.model}: {exc}") from None
-        model = ensemble.model_from_dict(doc)
-        name = "IEC"
-        # Columns are matched by name and encoded with the model's categories.
-        dataset = _load_dataset(args, model.tree.specs)
-        preds = ensemble.predict(model, dataset.rows)
+        name, preds = "IEC", ensemble.predict(model, dataset.rows)
 
     cm = metrics.confusion(preds, dataset.labels)
     rep = metrics.report(cm)
@@ -226,40 +220,44 @@ def cmd_benchmark(args):
             [metrics.format_table(list(means.items()))])
 
 
+def _apply_config(argv, parser, commands) -> None:
+    """Make the values of a ``--config`` file the defaults of the flags they name; a bad
+    file or value is a usage error (exit 2), as a bad flag is."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+        if not path:
+            return
+        overrides = {str(k).replace("-", "_"): v
+                     for k, v in _read_document(path, key_value=True).items()}
+        # A key may belong to any command, so one file can serve several.
+        actions = [a for sub in commands.choices.values() for a in sub._actions]
+        unknown = sorted(set(overrides).difference(a.dest for a in actions))
+        if unknown:
+            raise ValueError(f"{path}: config keys {unknown} name no flag")
+        # argparse applies each flag's type to a string default it falls back on, but
+        # checks no default against the flag's choices.  A flag with no type keeps its
+        # default as given, so that must be text, or null where the default is none.
+        for action in (a for a in actions if a.dest in overrides):
+            value = overrides[action.dest]
+            if (action.type is None and not isinstance(value, str)
+                    and value is not action.default):
+                raise ValueError(f"{path}: {action.dest} must be a string, got {value!r}")
+            if (action.choices is not None and value not in action.choices
+                    and value is not action.default):
+                raise ValueError(f"{path}: {action.dest} must be one of "
+                                 f"{list(action.choices)}, got {value!r}")
+            action.default = value
+            action.required = action.required and value is None  # null leaves it unset
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
+        parser.error(str(exc))
+
+
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config:
-        try:
-            overrides = _load_config(known.config)
-            # A key may belong to any command, so one file can serve several.
-            actions = [a for sub in commands.choices.values() for a in sub._actions]
-            unknown = sorted(set(overrides).difference(a.dest for a in actions))
-            if unknown:
-                raise ValueError(f"{known.config}: config keys {unknown} name no flag")
-            # argparse applies each flag's type to a string default it falls back on, but
-            # checks no default against the flag's choices.  A flag with no type keeps its
-            # default as given, so that must be text, or null where the default is none.
-            for action in (a for a in actions if a.dest in overrides):
-                value = overrides[action.dest]
-                if (action.type is None and not isinstance(value, str)
-                        and value is not action.default):
-                    raise ValueError(f"{known.config}: {action.dest} must be a string, "
-                                     f"got {value!r}")
-                if (action.choices is not None and value not in action.choices
-                        and value is not action.default):
-                    raise ValueError(f"{known.config}: {action.dest} must be one of "
-                                     f"{list(action.choices)}, got {value!r}")
-                action.default = value
-                action.required = action.required and value is None  # null leaves it unset
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     try:
+        _apply_config(argv, parser, commands)
         args = parser.parse_args(argv)
         _validate(args, parser)
         document, lines = args.func(args)  # synth has no --format and no document

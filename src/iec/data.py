@@ -213,6 +213,8 @@ class Dataset:
         """Check ``rows`` (float64 no caller may write) and ``labels``; keep both read-only."""
         require_unique_names(self.specs)
         rows = require_nonempty_matrix("rows", rows, len(self.specs))
+        if not rows.shape[1]:
+            raise ValueError(f"rows must have at least one feature column, got shape {rows.shape}")
         # Checked before the cast, which would truncate 0.5 to 0 and fail on NaN.
         labels = require_labels("labels", labels, len(rows)).astype(np.int64)
         require_rows(rows, self.specs)
@@ -316,11 +318,6 @@ def load_csv(path, label_column: str, positive_label: str,
             raise ValueError(f"{path}: empty file") from None
         if len(set(header)) != len(header):
             raise ValueError(f"{path}: row 1 (header) repeats a column name")
-        if label_column not in header:
-            raise ValueError(f"{path}: label column {label_column!r} not in header")
-        missing = [c for c in categorical_columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: categorical columns {missing} not in header")
         if specs is None:
             names = [c for c in header if c != label_column]
             codes = {c: {} for c in names if c in categorical_columns}
@@ -328,9 +325,11 @@ def load_csv(path, label_column: str, positive_label: str,
             names = [s.name for s in specs]
             codes = {s.name: {c: i for i, c in enumerate(s.categories)}
                      for s in specs if s.kind == CATEGORICAL}
-        for name in names:
+        needed = [("label", label_column), *(("categorical", c) for c in categorical_columns),
+                  *(("feature", c) for c in names)]
+        for role, name in needed:
             if name not in header:
-                raise ValueError(f"{path}: row 1 (header) has no column {name!r}")
+                raise ValueError(f"{path}: row 1 (header) has no {role} column {name!r}")
         # One converter per feature: float, the specs' codes, or codes by first appearance.
         features = [(header.index(name),
                      float if name not in codes
@@ -373,7 +372,10 @@ def load_csv(path, label_column: str, positive_label: str,
     if not finite.all():
         r, j = np.argwhere(~finite)[0]
         raise ValueError(f"{path}: non-finite value at row {r + 2}, column {specs[j].name!r}")
-    return Dataset(specs, rows, np.frombuffer(labels, dtype=np.uint8))
+    try:
+        return Dataset(specs, rows, np.frombuffer(labels, dtype=np.uint8))
+    except ValueError as exc:  # a label column alone: no feature
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def min_max_fit_matrix(x: np.ndarray) -> ScalingParams:

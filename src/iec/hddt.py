@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from iec.data import (CONTINUOUS, Dataset, FeatureSpec, category_codes, fields,
-                      require_both_classes, require_int, require_labels, require_list,
-                      require_matrix, require_number, require_numbers, require_unique_names,
-                      require_vector, specs_from_dicts, specs_to_dicts)
+                      require_both_classes, require_indices, require_int, require_labels,
+                      require_list, require_matrix, require_number, require_numbers,
+                      require_unique_names, require_vector, specs_from_dicts, specs_to_dicts)
 
 NUMERIC = "numeric"
 CATEGORICAL_SPLIT = "categorical"
@@ -440,12 +440,11 @@ def _node_from_dict(d: dict, specs: tuple[FeatureSpec, ...]) -> Leaf | tuple:
     if kind == NUMERIC:
         threshold = require_number("threshold", *fields(d, "tree node", "threshold"))
     else:
-        categories = tuple(require_int("categories", c, 0) for c in
-                           require_list("categories", *fields(d, "tree node", "categories")))
-        if (len(categories) < 2 or len(set(categories)) != len(categories)
-                or not all(c < len(spec.categories) for c in categories)):
-            raise ValueError(f"categories {list(categories)} must be at least two distinct "
-                             f"codes in 0 .. {len(spec.categories) - 1} of {spec.name!r}")
+        categories = require_indices(f"categories of {spec.name!r}",
+                                     *fields(d, "tree node", "categories"), len(spec.categories))
+        if len(categories) < 2:
+            raise ValueError(f"categories of {spec.name!r} must be at least two codes, "
+                             f"got {list(categories)}")
     split = SplitCandidate(j, kind, require_number("hd_score", hd_score, 0.0),
                            threshold, categories)
     return (split, *counts)

@@ -5,9 +5,11 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -20,6 +22,8 @@ from iec.ann import (MlpModel, TrainConfig, classify, classify_batch, forward,
                      model_from_dict, model_to_dict, mse_gradients, mse_loss,
                      sigmoid, train)
 from oracles import finite_difference_gradients, max_relative_error
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def zero_model(d=2, k=2):
@@ -90,11 +94,8 @@ HELPER_CAN_RUN = hasattr(os, "fork") and platform.machine() == "x86_64" and \
 needs_helper = pytest.mark.skipif(not HELPER_CAN_RUN, reason="no training helper here")
 
 
-def force_helper(patch):
-    """Make the CPU rule give two CPUs, the process count as one thread on x86-64 and the
-    machine show no spare CPU and no waiting task, so that train forks its helper wherever
-    the hidden layer spans more than one block and keeps it to the end.  Returns the list
-    of the process ids that train forks."""
+def counted_forks(patch):
+    """The list of the process ids that ``os.fork`` returns in the parent from now on."""
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -103,11 +104,19 @@ def force_helper(patch):
             forks.append(pid)
         return pid
 
+    patch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def force_helper(patch):
+    """Make the CPU rule give two CPUs, the process count as one thread on x86-64 and the
+    machine show no spare CPU and no waiting task, so that train forks its helper wherever
+    the hidden layer spans more than one block and keeps it to the end.  Returns the list
+    of the process ids that train forks."""
     patch.setattr(ann, "_cpu_count", lambda: 2)
     patch.setattr(ann, "_alone_on_x86", lambda: True)
     patch.setattr(ann, "_spare_cpus", lambda: 0)
-    patch.setattr(os, "fork", counted_fork)
-    return forks
+    return counted_forks(patch)
 
 
 def each_path(monkeypatch):
@@ -511,22 +520,8 @@ def test_importing_iec_before_numpy_sets_one_blas_thread():
 # drawn from 1-32; the SkylakeX kernels break this above k = 192.  Prints the first
 # shape where the bits differ, with the BLAS core.
 SPLIT_PREMISE = """
-import ctypes
 import numpy as np
-
-def blas_core():
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        libs = []
-    for path in libs:
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            getter = getattr(ctypes.CDLL(path), symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_char_p
-                return getter().decode()
-    return "unknown"
+from blas_probe import openblas_build  # from the tests directory, put on PYTHONPATH
 
 rng = np.random.default_rng(28)
 shapes = [(20_000, 17, 11), (24_001, 48, 1), (49_999, 64, 1), (20_001, 5, 4)]
@@ -542,16 +537,24 @@ for n, d, k in shapes:
             np.matmul(a[lo:hi], b, out=shares[lo:hi])
         if not np.array_equal(whole.view(np.int64), shares.view(np.int64)):
             raise SystemExit(f"{name} split at row {mid} changed bits at n={n}, d={d}, k={k}"
-                             f" under the BLAS core {blas_core()}")
+                             f" under the BLAS core {openblas_build()['core']}")
 """
 
 
 @needs_helper
 def test_forward_products_split_at_64_rows_keep_the_bits():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([TESTS, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", SPLIT_PREMISE], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr.strip().splitlines()[-1:]
+
+
+def test_the_blas_probe_prints_the_core_and_the_config():
+    # CI's "OpenBLAS core and config" step runs this script.
+    done = subprocess.run([sys.executable, os.path.join(TESTS, "blas_probe.py")],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert re.fullmatch(r"numpy \S+; OpenBLAS core: .+; config: .+\n", done.stdout), done.stdout
 
 
 def check_stops_and_starts(monkeypatch, n, spare, forked, stopped):
@@ -790,6 +793,47 @@ class TestHelper:
         while _running(helper) and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not _running(helper)
+
+
+class TestRealProbes:
+    """``_spare_cpus`` and ``_alone_on_x86`` as they are: every other test that reaches them
+    patches them."""
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/loadavg"), reason="no /proc/loadavg here")
+    def test_spare_cpus_counts_the_caller_as_runnable(self):
+        spare = ann._spare_cpus()
+        assert isinstance(spare, int) and spare <= (os.cpu_count() or 1) - 1
+
+    @needs_helper
+    def test_alone_on_x86_counts_this_process_threads(self):
+        assert ann._alone_on_x86()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not ann._alone_on_x86()
+        finally:
+            release.set()
+            thread.join()
+        # A joined thread's task may stay in /proc/self/task for a moment.
+        deadline = time.monotonic() + 5
+        while not ann._alone_on_x86() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert ann._alone_on_x86()
+
+    @needs_helper
+    def test_train_forks_its_helper_through_the_real_probes(self, monkeypatch):
+        x, y = above_one_block(4097, 5)
+        config = TrainConfig(epochs=20, learning_rate=2.0, seed=3)
+        alone = train_alone(monkeypatch, x, y, 4, config)
+        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
+        forks = counted_forks(monkeypatch)
+        helper = ann._alone_on_x86()  # 20 epochs: a helper stopped by the load stays stopped
+        with at_most(60, "train with the real probes"):
+            assert_same_weights(train(x, y, 4, config), alone)
+        assert len(forks) == helper
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestModelValidation:

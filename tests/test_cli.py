@@ -866,7 +866,42 @@ class TestConfigFile:
         assert "absent.csv" in err
 
 
+    @pytest.mark.parametrize("content", [
+        None, "just some words\n", "{bad", '{"epoch": 5}', '{"positive": 1}',
+        '{"format": "xml"}'], ids=["absent", "not-key-value", "not-json", "unknown-key",
+                                   "number-for-text", "outside-choices"])
+    def test_config_error_prints_the_usage_line(self, tmp_path, capsys, content):
+        # A config file's fault is a usage error like a flag's: usage line, message, exit 2.
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_text(content)
+        code, out, err = run(capsys, ["--config", str(cfg), "train", "--data",
+                                      str(tmp_path / "absent.csv"), "--out",
+                                      str(tmp_path / "m.json")])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: iec ") and "\niec: error: " in err and str(cfg) in err
+
+
 class TestTopLevel:
+    def test_config_flag_without_a_value_is_usage_error(self, capsys):
+        code, _, err = run(capsys, ["--config"])
+        assert code == 2
+        assert err.startswith("usage: iec [-h]")
+        assert err.endswith("iec: error: argument --config: expected one argument\n")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--out"]), ("benchmark", []), ("evaluate", ["--baseline", "constant0"])],
+        ids=["train", "benchmark", "evaluate"])
+    def test_label_column_alone_is_runtime_error(self, tmp_path, capsys, command, flags):
+        # The file is rejected at load, naming it, before a fit starts or a worker forks.
+        data = write_rows(tmp_path / "d.csv", ["class"], [[lab] for lab in "0110011010"])
+        model = tmp_path / "m.json"
+        code, out, err = run(capsys, [command, "--data", data, *flags,
+                                      *[str(model)] * (command == "train")])
+        assert code == 1 and out == "" and not model.exists()
+        assert err == (f"error: {data}: rows must have at least one feature column, "
+                       f"got shape (10, 0)\n")
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, ["frobnicate"])
         assert code == 2

@@ -71,11 +71,24 @@ class TestLoadCsv:
             load_csv(str(tmp_path / "nope.csv"), "lab", "Y")
 
     def test_missing_columns(self, tmp_path):
+        # One header rule: each column the load needs, named with its role.
         path = write_csv(tmp_path / "d.csv", "a,lab\n1,Y\n2,N\n")
-        with pytest.raises(ValueError, match="label column"):
-            load_csv(path, "target", "Y")
-        with pytest.raises(ValueError, match="categorical columns"):
-            load_csv(path, "lab", "Y", categorical_columns=("city",))
+        for label, kwargs, message in [
+                ("target", {}, "has no label column 'target'"),
+                ("lab", {"categorical_columns": ("a", "city")},
+                 "has no categorical column 'city'"),
+                ("lab", {"specs": (FeatureSpec("a", CONTINUOUS), FeatureSpec("b", CONTINUOUS))},
+                 "has no feature column 'b'")]:
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(f'{path}: row 1 (header) {message}')}$"):
+                load_csv(path, label, "Y", **kwargs)
+
+    def test_label_column_alone_rejected(self, tmp_path):
+        # The Dataset rule of at least one feature column, named with the path.
+        path = write_csv(tmp_path / "d.csv", "lab\nY\nN\nY\n")
+        message = f"{path}: rows must have at least one feature column, got shape (3, 0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(path, "lab", "Y")
 
     def test_non_numeric_continuous(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,lab\nhigh,Y\n2,N\n")

@@ -1,13 +1,16 @@
 """One table of the package's shared input rules: every site that takes a count or a seed,
-a vector of one value per row, 0/1 labels, an input matrix, a matrix of at least one row,
-rows of a feature schema, a list of feature indices, data of both classes or a positive
-number, with an input it must reject and the message of the rule's one owner in ``iec.data``
-(``require_int``, ``require_vector``, ``require_labels``, ``require_matrix``,
-``require_nonempty_matrix``, ``require_rows``, ``require_indices``, ``require_both_classes``,
-``require_positive``).  Labels go through the vector rule inside ``require_labels``.  Split
-partitions, lists of (pos, neg) counts, also go through ``require_list``.
-``tests/test_data.py::TestInputRuleOwners`` holds the inputs the owners pass, among them no
-rows for ``forward_batch`` and ``ensemble.predict`` and a ``range`` of feature indices."""
+a vector of one value per row, 0/1 labels, an input matrix, a matrix of at least one row
+(for a ``Dataset``, also of one feature column), rows of a feature schema, a list of
+feature indices or of a saved split's category codes (at least two of them, the tree
+reader's own rule), data of both classes or a positive number, with an input it must
+reject and the message of the rule's one owner in ``iec.data`` (``require_int``,
+``require_vector``, ``require_labels``, ``require_matrix``, ``require_nonempty_matrix``,
+``require_rows``, ``require_indices``, ``require_both_classes``, ``require_positive``, or
+``Dataset`` for the feature column).  Labels go through the vector rule inside
+``require_labels``.  Split partitions, lists of (pos, neg) counts, also go through
+``require_list``.  ``tests/test_data.py::TestInputRuleOwners`` holds the inputs the owners
+pass, among them no rows for ``forward_batch`` and ``ensemble.predict`` and a ``range`` of
+feature indices."""
 
 import re
 
@@ -17,8 +20,9 @@ import pytest
 from iec import ann, ensemble, hddt
 from iec.ann import (MlpModel, TrainConfig, forward, forward_batch, hidden_neuron_count,
                      init_model, mse_gradients, mse_loss)
-from iec.data import (CONTINUOUS, Dataset, FeatureSpec, ScalingParams, imbalance_cv,
-                      min_max_apply_matrix, min_max_fit_matrix, split_indices, synth_generate)
+from iec.data import (CATEGORICAL, CONTINUOUS, Dataset, FeatureSpec, ScalingParams,
+                      imbalance_cv, min_max_apply_matrix, min_max_fit_matrix, split_indices,
+                      synth_generate)
 from iec.ensemble import network_input, run_benchmark
 from iec.hddt import TreeConfig, best_split_categorical, best_split_numeric, hellinger_split_score
 from iec.metrics import ConfusionMatrix, confusion
@@ -41,6 +45,14 @@ COLUMN = "must be a vector of length 2, got shape (2, 1)"
 SCALAR = "must be a vector of length 2, got shape ()"
 INDICES = "must be a non-empty list of distinct integers in 0 .. 1, got "
 ONE_CLASS = Dataset(SPECS, TWO, [1, 1])
+
+
+def color_tree(categories):
+    """A saved tree whose root splits the two-category feature color into ``categories``."""
+    specs = (FeatureSpec("color", CATEGORICAL, ("red", "blue")),)
+    doc = hddt.model_to_dict(hddt.grow_tree(Dataset(specs, [[0.0], [1.0]], [0, 1])))
+    doc["nodes"][0]["categories"] = categories
+    return doc
 
 CASES = [
     # Counts: require_int.
@@ -117,6 +129,22 @@ CASES = [
     ("IecModel-negative", lambda: ensemble.IecModel(
         MODEL.tree, [-1], MODEL.scaling, MODEL.net, MODEL.d_m),
      "selected_features " + INDICES + "[-1]"),
+    # A saved categorical split's codes, against its feature's category count; at least two
+    # codes is the tree reader's own rule.
+    ("model_from_dict-categories-repeated", lambda: hddt.model_from_dict(color_tree([0, 0])),
+     "categories of 'color' " + INDICES + "[0, 0]"),
+    ("model_from_dict-categories-past", lambda: hddt.model_from_dict(color_tree([0, 2])),
+     "categories of 'color' " + INDICES + "[0, 2]"),
+    ("model_from_dict-categories-bool", lambda: hddt.model_from_dict(color_tree([0, True])),
+     "categories of 'color' " + INDICES + "[0, True]"),
+    ("model_from_dict-categories-float", lambda: hddt.model_from_dict(color_tree([0, 1.0])),
+     "categories of 'color' " + INDICES + "[0, 1.0]"),
+    ("model_from_dict-categories-scalar", lambda: hddt.model_from_dict(color_tree(5)),
+     "categories of 'color' " + INDICES + "5"),
+    ("model_from_dict-categories-empty", lambda: hddt.model_from_dict(color_tree([])),
+     "categories of 'color' " + INDICES + "[]"),
+    ("model_from_dict-categories-one", lambda: hddt.model_from_dict(color_tree([1])),
+     "categories of 'color' must be at least two codes, got [1]"),
     # Both classes present: require_both_classes.
     ("fit-one-class", lambda: ensemble.fit(ONE_CLASS),
      "train must hold both classes, got 0 negative and 2 positive"),
@@ -207,6 +235,9 @@ CASES = [
      "x must have at least one row, got shape (0, 2)"),
     ("Dataset-no-rows", lambda: Dataset(SPECS, NO_ROWS, []),
      "rows must have at least one row, got shape (0, 2)"),
+    # At least one feature column: Dataset, which load_csv and synth_generate build through.
+    ("Dataset-no-features", lambda: Dataset((), np.zeros((4, 0)), [0, 1, 0, 1]),
+     "rows must have at least one feature column, got shape (4, 0)"),
     ("min_max_fit_matrix-no-rows", lambda: min_max_fit_matrix(NO_ROWS),
      "x must have at least one row, got shape (0, 2)"),
     ("min_max_apply_matrix-1d", lambda: min_max_apply_matrix(ROW, SCALING), "x " + NOT_2D),
