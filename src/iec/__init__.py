@@ -10,6 +10,9 @@ combined pipeline), ``metrics`` (confusion-matrix scores) and ``cli``.
 Importing the package before numpy sets one BLAS thread per process, unless the
 caller set another count: training forks its own helper and the benchmark its
 own workers, and BLAS worker threads beside them only compete for the CPUs.
+Where numpy came first with more BLAS threads, nothing forks (a fork copies
+only the calling thread): training runs without a helper, and the benchmark
+runs its folds in the calling process, where the BLAS threads share the work.
 """
 
 import os

@@ -134,19 +134,19 @@ BLOCK_ELEMENTS = 1 << 14
 
 
 def _cpu_count() -> int:
-    """CPUs this process may fill with forked processes: one without ``fork`` or in a
-    process that ``multiprocessing`` started (its parent's workers fill the CPUs)."""
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process():
+    """CPUs this process may fill with forked processes, the rule for every fork: one without
+    ``fork``, in a process that ``multiprocessing`` started or in one of more threads (its
+    parent's workers or BLAS threads fill the CPUs, and no fork copies a threaded process)."""
+    tasks = "/proc/self/task"  # Linux's list of this process's threads
+    if ("fork" not in multiprocessing.get_all_start_methods() or multiprocessing.parent_process()
+            or os.path.isdir(tasks) and len(os.listdir(tasks)) > 1):
         return 1
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _alone_on_x86() -> bool:
-    """Whether this process runs one thread (BLAS worker threads would compete with a
-    helper for the CPUs) on x86-64, where each process sees the other's stores in order."""
-    tasks = "/proc/self/task"  # Linux's list of this process's threads
-    return platform.machine() == "x86_64" and os.path.isdir(tasks) and len(os.listdir(tasks)) == 1
+# A helper needs x86-64 (each process sees the other's stores in order) and /proc/loadavg.
+_HELPER_PLATFORM = platform.machine() == "x86_64" and os.path.isfile("/proc/loadavg")
 
 
 def _spare_cpus() -> int:
@@ -199,7 +199,7 @@ class _Step:
         self.w[:], self.b[:], self.c[:], self.c0[:] = weights
 
     def __enter__(self):
-        if self.mid < len(self.hidden) and _cpu_count() > 1 and _alone_on_x86():
+        if self.mid < len(self.hidden) and _HELPER_PLATFORM and _cpu_count() > 1:
             self._lay_out(True, self.w, self.b, self.c, self.c0)  # from the block it replaces
             self._start()
         return self

@@ -305,10 +305,11 @@ def load_csv(path, label_column: str, positive_label: str,
     appearance, and every other non-label column is continuous.  With
     ``specs`` (a fitted model's schema) the features are those specs, each
     column found by header name wherever it stands, and categories get the
-    specs' codes.  Rows whose label equals ``positive_label`` become class 1.
-    One pass reports the first faulty row, naming row and column: a missing,
-    non-finite (nan, inf) or unparseable value, an unseen category, an absent
-    column or a third label value.
+    specs' codes; ``categorical_columns`` is then ignored.  Rows whose label
+    equals ``positive_label`` become class 1; a label column of two values
+    must hold it.  One pass reports the first faulty row, naming row and
+    column: a missing, non-finite (nan, inf) or unparseable value, an unseen
+    category, an absent column or a third label value.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _records(fh, path)
@@ -321,8 +322,8 @@ def load_csv(path, label_column: str, positive_label: str,
         if specs is None:
             names = [c for c in header if c != label_column]
             codes = {c: {} for c in names if c in categorical_columns}
-        else:
-            names = [s.name for s in specs]
+        else:  # the specs give each feature its kind
+            names, categorical_columns = [s.name for s in specs], ()
             codes = {s.name: {c: i for i, c in enumerate(s.categories)}
                      for s in specs if s.kind == CATEGORICAL}
         needed = [("label", label_column), *(("categorical", c) for c in categorical_columns),
@@ -364,6 +365,10 @@ def load_csv(path, label_column: str, positive_label: str,
 
     if not labels:
         raise ValueError(f"{path}: no data rows")
+    if len(label_values) == 2 and positive_label not in label_values:
+        first, second = sorted(label_values)
+        raise ValueError(f"{path}: label column {label_column!r} holds {first!r} and "
+                         f"{second!r}, neither is the positive label {positive_label!r}")
     if specs is None:
         specs = tuple(FeatureSpec(name, CATEGORICAL, tuple(codes[name])) if name in codes
                       else FeatureSpec(name, CONTINUOUS) for name in names)

@@ -177,9 +177,8 @@ def run_benchmark(dataset: Dataset, repetitions: int, train_fraction: float,
     if workers == 1:
         return _fold_reports((task() for task in tasks), repetitions)
     # "fork" starts no helper process ("forkserver" and "spawn" start one that can
-    # outlive the call).  OpenBLAS joins its threads around a fork, so the fork
-    # copies one thread; an OpenMP BLAS need not.  The workers inherit the tasks
-    # through the fork, so only task numbers and the tasks' reports cross the pipes.
+    # outlive the call) and copies this one-thread process.  The workers inherit the
+    # tasks through it, so only task numbers and the tasks' reports cross the pipes.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt, initargs=(tasks,)) as pool:
         # A task that raises makes the map cancel the tasks not yet started.

@@ -71,6 +71,9 @@ TreeNode = Leaf | Internal
 
 @dataclass(frozen=True)
 class TreeConfig:
+    """Growth limits.  A node of fewer than 2 * ``min_leaf`` rows is not split; a split
+    may still give a child fewer than ``min_leaf`` rows, so it bounds no leaf's size."""
+
     min_leaf: int = 1
     max_depth: int | None = None
 

@@ -1,9 +1,10 @@
 import mmap
 
 # Import iec before numpy, as the iec command does: the package then sets one BLAS
-# thread where the environment names no count.  Training forks its helper process
-# only under one thread, and the tests that force the helper on
-# (test_ann.force_helper) need that condition too.
+# thread where the environment names no count.  Nothing forks, neither the training
+# helper nor the benchmark's workers, in a process of more threads, and the tests that
+# run the real CPU rule (test_ann.TestRealProbes, and test_ensemble's thread test) need
+# one thread too.
 import iec  # noqa: F401
 import pytest
 

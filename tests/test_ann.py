@@ -4,7 +4,6 @@ import json
 import math
 import multiprocessing
 import os
-import platform
 import re
 import signal
 import subprocess
@@ -88,10 +87,12 @@ def each_block_budget(monkeypatch, budgets=(7, 700)):
             yield budget
 
 
-# Where train may fork its helper: fork exists, on x86-64, with /proc to count threads.
-HELPER_CAN_RUN = hasattr(os, "fork") and platform.machine() == "x86_64" and \
-    os.path.isdir("/proc/self/task")
+# Where train may fork its helper: fork exists, on x86-64, with /proc/loadavg.
+HELPER_CAN_RUN = hasattr(os, "fork") and ann._HELPER_PLATFORM
 needs_helper = pytest.mark.skipif(not HELPER_CAN_RUN, reason="no training helper here")
+# Where the CPU rule counts this process's threads: fork exists, and Linux lists them.
+needs_threads = pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
+                                   reason="no thread list here")
 
 
 def counted_forks(patch):
@@ -109,12 +110,12 @@ def counted_forks(patch):
 
 
 def force_helper(patch):
-    """Make the CPU rule give two CPUs, the process count as one thread on x86-64 and the
-    machine show no spare CPU and no waiting task, so that train forks its helper wherever
-    the hidden layer spans more than one block and keeps it to the end.  Returns the list
-    of the process ids that train forks."""
+    """Make the CPU rule give two CPUs, the platform fit for a helper and the machine show
+    no spare CPU and no waiting task, so that train forks its helper wherever the hidden
+    layer spans more than one block and keeps it to the end.  Returns the list of the
+    process ids that train forks."""
     patch.setattr(ann, "_cpu_count", lambda: 2)
-    patch.setattr(ann, "_alone_on_x86", lambda: True)
+    patch.setattr(ann, "_HELPER_PLATFORM", True)
     patch.setattr(ann, "_spare_cpus", lambda: 0)
     return counted_forks(patch)
 
@@ -551,10 +552,11 @@ def test_forward_products_split_at_64_rows_keep_the_bits():
 
 
 def test_the_blas_probe_prints_the_core_and_the_config():
-    # CI's "OpenBLAS core and config" step runs this script.
+    # CI's "OpenBLAS core, config and thread count" step runs this script.
     done = subprocess.run([sys.executable, os.path.join(TESTS, "blas_probe.py")],
                           capture_output=True, text=True, check=True, timeout=60)
-    assert re.fullmatch(r"numpy \S+; OpenBLAS core: .+; config: .+\n", done.stdout), done.stdout
+    assert re.fullmatch(r"numpy \S+; OpenBLAS core: .+; config: .+; threads: \d+\n",
+                        done.stdout), done.stdout
 
 
 def check_stops_and_starts(monkeypatch, n, spare, forked, stopped):
@@ -732,7 +734,7 @@ class TestHelper:
 
     def test_a_process_that_multiprocessing_started_trains_alone(self, monkeypatch):
         # The child runs the real CPU rule, which gives one CPU there.
-        monkeypatch.setattr(ann, "_alone_on_x86", lambda: True)
+        monkeypatch.setattr(ann, "_HELPER_PLATFORM", True)
         child = multiprocessing.get_context("fork").Process(target=_train_where_fork_is_refused)
         child.start()
         child.join(60)
@@ -795,40 +797,59 @@ class TestHelper:
         assert not _running(helper)
 
 
+def two_cpus(patch):
+    """Make the real CPU rule see two CPUs in this process's affinity, so that only its other
+    clauses (fork, a ``multiprocessing`` parent, this process's threads) can make it one."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 class TestRealProbes:
-    """``_spare_cpus`` and ``_alone_on_x86`` as they are: every other test that reaches them
-    patches them."""
+    """``_spare_cpus`` and ``_cpu_count``'s thread probe as they are: every other test that
+    reaches them patches them."""
 
     @pytest.mark.skipif(not os.path.isfile("/proc/loadavg"), reason="no /proc/loadavg here")
     def test_spare_cpus_counts_the_caller_as_runnable(self):
         spare = ann._spare_cpus()
         assert isinstance(spare, int) and spare <= (os.cpu_count() or 1) - 1
 
-    @needs_helper
-    def test_alone_on_x86_counts_this_process_threads(self):
-        assert ann._alone_on_x86()
+    @needs_threads
+    def test_cpu_count_counts_this_process_threads(self, monkeypatch):
+        two_cpus(monkeypatch)
+        assert ann._cpu_count() == 2
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert not ann._alone_on_x86()
+            assert ann._cpu_count() == 1
         finally:
             release.set()
             thread.join()
         # A joined thread's task may stay in /proc/self/task for a moment.
         deadline = time.monotonic() + 5
-        while not ann._alone_on_x86() and time.monotonic() < deadline:
+        while ann._cpu_count() == 1 and time.monotonic() < deadline:
             time.sleep(0.001)
-        assert ann._alone_on_x86()
+        assert ann._cpu_count() == 2
+
+    @needs_threads
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread here")
+    def test_numpy_first_with_two_blas_threads_gives_one_cpu(self):
+        # numpy imported before iec keeps the environment's BLAS thread count, and OpenBLAS
+        # starts those threads at load: no process of more threads forks.
+        code = "import numpy; from iec import ann; print(ann._cpu_count())"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(ann.__file__)), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout == "1\n"
 
     @needs_helper
     def test_train_forks_its_helper_through_the_real_probes(self, monkeypatch):
         x, y = above_one_block(4097, 5)
         config = TrainConfig(epochs=20, learning_rate=2.0, seed=3)
         alone = train_alone(monkeypatch, x, y, 4, config)
-        monkeypatch.setattr(ann, "_cpu_count", lambda: 2)
+        two_cpus(monkeypatch)
         forks = counted_forks(monkeypatch)
-        helper = ann._alone_on_x86()  # 20 epochs: a helper stopped by the load stays stopped
+        helper = ann._cpu_count() > 1  # 20 epochs: a helper stopped by the load stays stopped
         with at_most(60, "train with the real probes"):
             assert_same_weights(train(x, y, 4, config), alone)
         assert len(forks) == helper

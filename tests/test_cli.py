@@ -267,6 +267,38 @@ class TestEvaluate:
         assert result["metrics"]["g_mean"] == 0.0
         assert "precision" in result["zero_denominator"]
 
+    def synth_model(self, tmp_path, capsys):
+        """A synth CSV (columns inf0, inf1, noise0, class) and a model trained on it."""
+        data, model_path = str(tmp_path / "d.csv"), str(tmp_path / "model.json")
+        run(capsys, ["synth", "--n", "200", "--informative", "2", "--noise", "1",
+                     "--seed", "3", "--out", data])
+        code, _, _ = run(capsys, ["train", "--data", data, "--out", model_path,
+                                  "--epochs", "50", "--learning-rate", "2.0"])
+        assert code == 0
+        return data, model_path
+
+    def test_categorical_is_ignored_with_a_model(self, tmp_path, capsys):
+        # The model's specs give each feature its kind, so one config file may set
+        # categorical for train and evaluate alike: an absent column or a continuous one.
+        data, model_path = self.synth_model(tmp_path, capsys)
+        argv = ["evaluate", "--model", model_path, "--data", data, "--format", "json"]
+        code, flagless, _ = run(capsys, argv)
+        assert code == 0
+        for categorical in ("city", "inf0"):
+            assert run(capsys, argv + ["--categorical", categorical]) == (0, flagless, "")
+
+    def test_a_positive_label_the_column_lacks_is_rejected(self, tmp_path, capsys):
+        # It fails at load: scored, every row would count as negative.
+        data, model_path = self.synth_model(tmp_path, capsys)
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        relabelled = write_rows(tmp_path / "yes_no.csv", rows[0],
+                                [row[:-1] + [("no", "yes")[row[-1] == "1"]] for row in rows[1:]])
+        code, out, err = run(capsys, ["evaluate", "--model", model_path, "--data", relabelled])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {relabelled}: label column 'class' holds 'no' and 'yes', "
+                       "neither is the positive label '1'\n")
+
     def color_rows(self):
         """``color`` decides the class; red comes first."""
         rng = np.random.default_rng(5)

@@ -160,6 +160,27 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 1 .* column 'a'"):
             load_csv(path, "lab", "Y", specs=(FeatureSpec("a", CONTINUOUS),))
 
+    def test_specs_ignore_categorical_columns(self, tmp_path):
+        # The specs give each feature its kind, so one config may name categorical columns
+        # for training and scoring alike: an absent one or a continuous feature changes nothing.
+        path = write_csv(tmp_path / "d.csv", "a,lab\n1.5,Y\n2,N\n")
+        specs = (FeatureSpec("a", CONTINUOUS),)
+        plain = load_csv(path, "lab", "Y", specs=specs)
+        for categorical in (("city",), ("a",)):
+            d = load_csv(path, "lab", "Y", categorical, specs)
+            assert d.specs == specs
+            np.testing.assert_array_equal(d.rows, plain.rows)
+
+    def test_positive_label_must_be_one_of_two_values(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "a,class\n1,yes\n2,no\n3,no\n")
+        message = f"{path}: label column 'class' holds 'no' and 'yes', " \
+                  "neither is the positive label '1'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_csv(path, "class", "1")
+        # A one-valued column still loads, as one class.
+        one = write_csv(tmp_path / "one.csv", "a,class\n1,no\n2,no\n")
+        assert load_csv(one, "class", "1").labels.tolist() == [0, 0]
+
     def test_repeated_header_name_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,lab,lab\n1,Y,2\n3,N,4\n")
         with pytest.raises(ValueError, match="repeats"):

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -445,6 +446,30 @@ class TestRunBenchmark:
         d = continuous_dataset(np.arange(11.0)[:, None], [0] * 10 + [1])
         with pytest.raises(ValueError, match="class 1 has 1 rows; cannot place it on both sides"):
             run_benchmark(d, 2, 0.7, 0, hddt.TreeConfig(), TrainConfig(epochs=5))
+
+    @pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
+                        reason="the CPU rule counts threads only where Linux lists them")
+    def test_a_second_thread_keeps_the_folds_in_this_process(self, monkeypatch):
+        # Two CPUs by affinity and the real CPU rule: one thread gets the pool, and with a
+        # second thread alive (a BLAS worker, say) no process forks, with the pool's reports.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process of two threads started a pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        d = mixed_dataset(300, seed=4)
+        args = (d, 2, 0.7, 2, hddt.TreeConfig(min_leaf=3), TrainConfig(epochs=40, seed=1))
+        pooled = run_benchmark(*args)
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", no_pool)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            in_process = run_benchmark(*args)
+        finally:
+            release.set()
+            thread.join()
+        assert {name: [r.to_dict() for r in reports] for name, reports in in_process.items()} == \
+            {name: [r.to_dict() for r in reports] for name, reports in pooled.items()}
 
     def test_no_worker_outlives_the_call(self, monkeypatch):
         # Forked workers are joined when the call returns: no child is left,

@@ -297,6 +297,12 @@ class TestGrowTree:
         model = grow_tree(d, TreeConfig(min_leaf=2))
         assert isinstance(model.root, Leaf)
 
+    def test_min_leaf_bounds_no_leaf_size(self):
+        # Ten rows reach 2 * 3, so the root splits, and its best split gives a 1-row leaf.
+        d = continuous_dataset(np.arange(10.0)[:, None], [1] + [0] * 9)
+        model = grow_tree(d, TreeConfig(min_leaf=3))
+        assert model.root.children == (Leaf(1, 1, 0), Leaf(0, 0, 9))
+
     def test_max_depth_zero_forces_leaf(self):
         d = continuous_dataset([[1.0], [2.0]], [1, 0])
         model = grow_tree(d, TreeConfig(max_depth=0))
