@@ -200,28 +200,16 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable feature matrix with per-column specs and binary labels."""
+    """An immutable feature matrix with per-column specs and binary labels.  It copies a caller's
+    arrays, and keeps uncopied the package's own: those ``subset``, ``load_csv`` and
+    ``synth_generate`` build for it."""
 
     specs: tuple[FeatureSpec, ...]
     rows: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self._adopt(np.array(self.rows, dtype=np.float64), self.labels)
-
-    def _adopt(self, rows: np.ndarray, labels) -> None:
-        """Check ``rows`` (float64 no caller may write) and ``labels``; keep both read-only."""
-        require_unique_names(self.specs)
-        rows = require_nonempty_matrix("rows", rows, len(self.specs))
-        if not rows.shape[1]:
-            raise ValueError(f"rows must have at least one feature column, got shape {rows.shape}")
-        # Checked before the cast, which would truncate 0.5 to 0 and fail on NaN.
-        labels = require_labels("labels", labels, len(rows)).astype(np.int64)
-        require_rows(rows, self.specs)
-        rows.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
+        _assemble(self.specs, np.array(self.rows, dtype=np.float64), self.labels, self)
 
     @property
     def n(self) -> int:
@@ -238,10 +226,24 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         # The indexed rows are the subset's one copy (or a view of these read-only rows).
-        subset = object.__new__(Dataset)
-        object.__setattr__(subset, "specs", self.specs)
-        subset._adopt(self.rows[indices], self.labels[indices])
-        return subset
+        return _assemble(self.specs, self.rows[indices], self.labels[indices])
+
+
+def _assemble(specs, rows: np.ndarray, labels, d: Dataset | None = None) -> Dataset:
+    """``d`` or a new Dataset holding ``rows`` (float64 no caller holds) and ``labels``, checked."""
+    require_unique_names(specs)
+    rows = require_nonempty_matrix("rows", rows, len(specs))
+    if not rows.shape[1]:
+        raise ValueError(f"rows must have at least one feature column, got shape {rows.shape}")
+    # Checked before the cast, which would truncate 0.5 to 0 and fail on NaN.
+    labels = require_labels("labels", labels, len(rows)).astype(np.int64)
+    require_rows(rows, specs)
+    rows.setflags(write=False)
+    labels.setflags(write=False)
+    d = object.__new__(Dataset) if d is None else d
+    for name, value in ("specs", specs), ("rows", rows), ("labels", labels):
+        object.__setattr__(d, name, value)
+    return d
 
 
 @dataclass(frozen=True)
@@ -378,7 +380,7 @@ def load_csv(path, label_column: str, positive_label: str,
         r, j = np.argwhere(~finite)[0]
         raise ValueError(f"{path}: non-finite value at row {r + 2}, column {specs[j].name!r}")
     try:
-        return Dataset(specs, rows, np.frombuffer(labels, dtype=np.uint8))
+        return _assemble(specs, rows, np.frombuffer(labels, dtype=np.uint8))
     except ValueError as exc:  # a label column alone: no feature
         raise ValueError(f"{path}: {exc}") from None
 
@@ -500,9 +502,7 @@ def synth_generate(n: int, informative: int, noise: int, minority_fraction: floa
         raise ValueError("minority_fraction too small: no positive rows at this n")
 
     rng = np.random.default_rng(seed)
-    labels = np.concatenate([np.ones(n_pos, dtype=np.int64),
-                             np.zeros(n - n_pos, dtype=np.int64)])
-    labels = labels[rng.permutation(n)]
+    labels = np.repeat([1, 0], [n_pos, n - n_pos])[rng.permutation(n)]
 
     p = informative + noise
     rows = rng.standard_normal((n, p))
@@ -510,4 +510,4 @@ def synth_generate(n: int, informative: int, noise: int, minority_fraction: floa
 
     specs = tuple(FeatureSpec(f"inf{j}", CONTINUOUS) for j in range(informative)) + \
         tuple(FeatureSpec(f"noise{j}", CONTINUOUS) for j in range(noise))
-    return Dataset(specs, rows, labels)
+    return _assemble(specs, rows, labels)

@@ -8,7 +8,6 @@ import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 
@@ -502,16 +501,22 @@ def _running(pid: int) -> bool:
         return False
 
 
+def printed_by_iec_child(code: str, env: dict) -> list[str]:
+    """The words that ``code`` prints, run by a new interpreter under ``env`` with this iec
+    importable."""
+    env = dict(env, PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(ann.__file__)),
+                                                env.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.split()
+
+
 def test_importing_iec_before_numpy_sets_one_blas_thread():
     code = ("import iec, numpy, os; a = numpy.ones((400, 400)); a @ a; "
             "print(*(os.environ[v + '_NUM_THREADS'] for v in ('OPENBLAS', 'OMP', 'MKL')), "
             "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)")
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(ann.__file__)),
-                                         env.get("PYTHONPATH", "")])
     env["OMP_NUM_THREADS"] = "2"  # kept; OpenBLAS and MKL read their own variable first
-    printed = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout.split()
+    printed = printed_by_iec_child(code, env)
     assert printed == ["1", "2", "1", "1"]  # the last is the process's thread count
 
 
@@ -797,6 +802,28 @@ class TestHelper:
         assert not _running(helper)
 
 
+# The CPU rule's answers in a process that sees two CPUs: alone, beside a second thread, and
+# once that thread is joined.
+THREAD_PROBE = """
+import os, threading, time
+os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs: only the threads can make it 1
+from iec import ann
+
+counts = [ann._cpu_count()]
+release = threading.Event()
+thread = threading.Thread(target=release.wait, daemon=True)
+thread.start()
+counts.append(ann._cpu_count())
+release.set()
+thread.join()
+# A joined thread's task may stay in /proc/self/task for a moment.
+deadline = time.monotonic() + 5
+while ann._cpu_count() == 1 and time.monotonic() < deadline:
+    time.sleep(0.001)
+print(*counts, ann._cpu_count())
+"""
+
+
 def two_cpus(patch):
     """Make the real CPU rule see two CPUs in this process's affinity, so that only its other
     clauses (fork, a ``multiprocessing`` parent, this process's threads) can make it one."""
@@ -813,22 +840,14 @@ class TestRealProbes:
         assert isinstance(spare, int) and spare <= (os.cpu_count() or 1) - 1
 
     @needs_threads
-    def test_cpu_count_counts_this_process_threads(self, monkeypatch):
-        two_cpus(monkeypatch)
-        assert ann._cpu_count() == 2
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            assert ann._cpu_count() == 1
-        finally:
-            release.set()
-            thread.join()
-        # A joined thread's task may stay in /proc/self/task for a moment.
-        deadline = time.monotonic() + 5
-        while ann._cpu_count() == 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert ann._cpu_count() == 2
+    def test_cpu_count_counts_this_process_threads(self):
+        # In a child of one BLAS thread: the threads that OpenBLAS starts in this process,
+        # more than one under OPENBLAS_NUM_THREADS=2, would make the rule say 1 throughout.
+        alone, beside_a_thread, after_join = printed_by_iec_child(
+            THREAD_PROBE, dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert alone == "2"
+        assert beside_a_thread == "1"
+        assert after_join == "2"
 
     @needs_threads
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread here")
@@ -836,11 +855,7 @@ class TestRealProbes:
         # numpy imported before iec keeps the environment's BLAS thread count, and OpenBLAS
         # starts those threads at load: no process of more threads forks.
         code = "import numpy; from iec import ann; print(ann._cpu_count())"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(ann.__file__)), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True, timeout=60)
-        assert done.stdout == "1\n"
+        assert printed_by_iec_child(code, dict(os.environ, OPENBLAS_NUM_THREADS="2")) == ["1"]
 
     @needs_helper
     def test_train_forks_its_helper_through_the_real_probes(self, monkeypatch):
